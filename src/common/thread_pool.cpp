@@ -156,7 +156,7 @@ std::future<void> ThreadPool::SubmitNamed(std::string_view name,
   return SubmitPinned(WorkerIndexForName(name), std::move(task));
 }
 
-bool ThreadPool::OnWorkerThread() const {
+bool ThreadPool::CurrentThreadInPool() const {
   const auto self = std::this_thread::get_id();
   return std::any_of(workers_.begin(), workers_.end(),
                      [self](const std::thread& w) { return w.get_id() == self; });
@@ -168,7 +168,7 @@ void ThreadPool::ParallelFor(std::size_t begin, std::size_t end,
   const std::size_t n = end - begin;
   // Inline when trivial or when called from a worker (nested parallelism):
   // a worker blocking on futures served by the same pool would deadlock.
-  if (n == 1 || workers_.size() == 1 || OnWorkerThread()) {
+  if (n == 1 || workers_.size() == 1 || CurrentThreadInPool()) {
     for (std::size_t i = begin; i < end; ++i) body(i);
     return;
   }

@@ -97,14 +97,12 @@ class ThreadPool {
   /// on a worker: a worker waiting on futures served by its own queue
   /// can deadlock, and the sharded fleet service pins each shard to one
   /// worker precisely so its decisions never migrate.
-  bool CurrentThreadInPool() const { return OnWorkerThread(); }
+  bool CurrentThreadInPool() const;
 
   /// Process-wide default pool (lazily constructed).
   static ThreadPool& Global();
 
  private:
-  bool OnWorkerThread() const;
-
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> tasks_;
   /// Per-worker pinned queues (guarded by mutex_); checked before the

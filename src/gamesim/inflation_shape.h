@@ -17,7 +17,10 @@
 
 namespace gaugur::gamesim {
 
-enum class ShapeKind : std::uint8_t {
+// Eight bytes wide so InflationShape has no padding: every byte of the
+// object is determined by its value, and byte-wise printers (gtest's
+// parameter names among them) render it the same on every run.
+enum class ShapeKind : std::uint64_t {
   kLinear = 0,   // h(x) = x
   kPower,        // h(x) = x^p          (p>1 convex cliff, p<1 concave)
   kLogistic,     // normalized sigmoid with knee at `knee`, steepness `steep`
@@ -44,6 +47,9 @@ struct InflationShape {
     return {ShapeKind::kPlateau, 0.0, knee};
   }
 };
+
+static_assert(sizeof(InflationShape) == sizeof(ShapeKind) + 2 * sizeof(double),
+              "InflationShape must have no padding bytes");
 
 /// Amplitude + shape: the full response of one stage to one resource.
 /// Slowdown factor is 1 + amplitude * shape(pressure).

@@ -1,14 +1,10 @@
 #include "ml/tree_kernel.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <future>
 #include <limits>
-#include <string>
 
 #include "common/check.h"
 #include "common/thread_pool.h"
@@ -23,8 +19,9 @@ namespace {
 /// iteration. The fixed per-tree level count (leaf chains pad every
 /// path) lets every lane take the same step count, and the
 /// child-adjacent layout keeps each step a compare-and-add with no
-/// data-dependent branch to mispredict. This is the semantic reference
-/// the SSE/AVX2 kernels must match bit for bit.
+/// data-dependent branch to mispredict. It is the batch path for forests
+/// quantization cannot represent, and the reference the quantized
+/// kernels must match bit for bit.
 void AccumulateTreeScalar(const FlatNode* nodes, const double* value,
                           std::int32_t root, std::int32_t levels,
                           const double* data, std::size_t rows,
@@ -63,23 +60,6 @@ void AccumulateTreeScalar(const FlatNode* nodes, const double* value,
   }
 }
 
-/// Strongest tier the running CPU can execute, within what this build
-/// compiled in.
-SimdTier DetectCpuTier() {
-#if defined(GAUGUR_SIMD_X86)
-  if (__builtin_cpu_supports("avx2")) return SimdTier::kAvx2;
-  if (__builtin_cpu_supports("sse4.2")) return SimdTier::kSse;
-#endif
-  return SimdTier::kScalar;
-}
-
-/// -1 = automatic dispatch, else the int value of the forced SimdTier.
-std::atomic<int> g_forced_tier{-1};
-
-/// -1 = env-driven, 0 = forced off, 1 = forced on.
-std::atomic<int> g_forced_quant{-1};
-std::atomic<int> g_forced_parallel{-1};
-
 /// Threshold rank marking a leaf/always-left record in a qmeta word. No
 /// bin id reaches it (FinalizeQuantized caps edges per feature at
 /// kLeafRank - 1), so `bin > kLeafRank` is always false and the record
@@ -91,10 +71,7 @@ constexpr std::uint32_t kLeafRank = 0xFFFFu;
 /// by the integer `bin > rank` (exact by construction — the bin edges
 /// are the split thresholds themselves). This is the semantic reference
 /// the AVX2 quantized kernel must match bit for bit, and the kernel
-/// every sub-AVX2 tier runs (SSE4.2 has no gathers, so a dedicated SSE
-/// quantized kernel would re-implement this loop lane by lane for no
-/// win — measured on the float side, scalar-style compares beat
-/// element-inserted vectors below 4-wide gathers).
+/// hosts without AVX2 run.
 void AccumulateTreeQuantScalar(const std::int32_t* meta,
                                const std::int32_t* child, const double* value,
                                std::int32_t root, std::int32_t levels,
@@ -138,6 +115,7 @@ void AccumulateTreeQuantScalar(const std::int32_t* meta,
   }
 }
 
+#if defined(GAUGUR_SIMD_X86)
 /// The AVX2 quantized kernel computes bin offsets in 32-bit lanes; any
 /// batch whose flat element count overflows them (absurd for this
 /// repo's row widths) just runs the scalar quantized kernel instead.
@@ -146,54 +124,27 @@ bool FitsInt32(std::size_t rows, std::size_t cols) {
                      std::numeric_limits<std::int32_t>::max()) /
                      (cols == 0 ? 1 : cols);
 }
+#endif
 
 }  // namespace
 
 const char* SimdTierName(SimdTier tier) {
-  switch (tier) {
-    case SimdTier::kScalar:
-      return "scalar";
-    case SimdTier::kSse:
-      return "sse";
-    case SimdTier::kAvx2:
-      return "avx2";
-  }
-  return "?";
-}
-
-SimdTier SimdTierFromString(const char* value, SimdTier fallback) {
-  if (value == nullptr) return fallback;
-  const std::string v(value);
-  if (v == "off" || v == "scalar") return SimdTier::kScalar;
-  if (v == "sse") return SimdTier::kSse;
-  if (v == "avx2") return SimdTier::kAvx2;
-  return fallback;
-}
-
-SimdTier FlatForest::SupportedTier() {
-  static const SimdTier tier = DetectCpuTier();
-  return tier;
+  return tier == SimdTier::kAvx2 ? "avx2" : "scalar";
 }
 
 SimdTier FlatForest::ActiveTier() {
-  const int forced = g_forced_tier.load(std::memory_order_relaxed);
-  if (forced >= 0) return static_cast<SimdTier>(forced);
-  static const SimdTier detected = std::min(
-      SupportedTier(),
-      SimdTierFromString(std::getenv("GAUGUR_SIMD"), SimdTier::kAvx2));
-  return detected;
+#if defined(GAUGUR_SIMD_X86)
+  static const SimdTier tier = __builtin_cpu_supports("avx2")
+                                   ? SimdTier::kAvx2
+                                   : SimdTier::kScalar;
+  return tier;
+#else
+  return SimdTier::kScalar;
+#endif
 }
 
-void FlatForest::ForceTier(std::optional<SimdTier> tier) {
-  if (!tier.has_value()) {
-    g_forced_tier.store(-1, std::memory_order_relaxed);
-    return;
-  }
-  GAUGUR_CHECK_MSG(*tier <= SupportedTier(),
-                   "ForceTier(" << SimdTierName(*tier)
-                                << ") beyond supported tier "
-                                << SimdTierName(SupportedTier()));
-  g_forced_tier.store(static_cast<int>(*tier), std::memory_order_relaxed);
+bool FlatForest::ParallelActive() {
+  return common::ThreadPool::Global().NumThreads() >= 2;
 }
 
 void FlatForest::Add(const TreeModel& tree) {
@@ -329,68 +280,41 @@ double FlatForest::PredictRowSum(std::span<const double> x) const {
 void FlatForest::AccumulateTreeBatch(std::size_t t, MatrixView x,
                                      std::span<double> out,
                                      double scale) const {
-  AccumulateTreeBatchTier(t, x, out, scale, ActiveTier());
-}
-
-void FlatForest::AccumulateTreeBatchTier(std::size_t t, MatrixView x,
-                                         std::span<double> out, double scale,
-                                         SimdTier tier) const {
   CheckWidth(x.cols);
   GAUGUR_CHECK(out.size() == x.rows);
-  const std::int32_t root = roots_[t];
-  const std::int32_t levels = levels_[t];
-  const FlatNode* nodes = nodes_.data();
-  const double* value = value_.data();
-  switch (tier) {
-#if defined(GAUGUR_SIMD_X86)
-    case SimdTier::kAvx2:
-      detail::AccumulateTreeAvx2(nodes, value, root, levels, x.data, x.rows,
-                                 x.cols, out.data(), scale);
-      return;
-    case SimdTier::kSse:
-      detail::AccumulateTreeSse(nodes, value, root, levels, x.data, x.rows,
-                                x.cols, out.data(), scale);
-      return;
-#endif
-    default:
-      break;
-  }
-  AccumulateTreeScalar(nodes, value, root, levels, x.data, x.rows, x.cols,
-                       out.data(), scale);
+  AccumulateTreeScalar(nodes_.data(), value_.data(), roots_[t], levels_[t],
+                       x.data, x.rows, x.cols, out.data(), scale);
 }
 
 void FlatForest::AccumulateBatch(MatrixView x, std::span<double> out,
                                  double scale) const {
-  // Multi-core fan-out pays for itself only when there is enough work
-  // to amortize the submit/staging round trip; below the cutoffs (or
-  // from a pool worker — a shard's decision batch must stay on its
-  // pinned worker) the sequential path wins and is what runs.
-  if (ParallelActive() && x.rows >= 256 && roots_.size() >= 16) {
-    common::ThreadPool& pool = common::ThreadPool::Global();
-    if (pool.NumThreads() >= 2 && !pool.CurrentThreadInPool()) {
-      AccumulateBatchMt(x, out, scale, pool);
-      return;
-    }
+  // Fanning out pays for itself only when there is enough work to
+  // amortize the submit round trip.
+  if (x.rows >= 256 && ParallelActive()) {
+    AccumulateBatchMt(x, out, scale, common::ThreadPool::Global());
+    return;
   }
-  // Resolve tier and quantized dispatch once per batch: a concurrent
-  // ForceTier/ForceQuantized flip then switches kernels between trees
-  // at worst, never mid-tree — and both paths are bit-identical anyway.
-  const SimdTier tier = ActiveTier();
+  AccumulateRows(x, out, scale);
+}
+
+void FlatForest::AccumulateRows(MatrixView x, std::span<double> out,
+                                double scale) const {
+  CheckWidth(x.cols);
+  GAUGUR_CHECK(out.size() == x.rows);
   // Rows outer, trees inner: a tree-outer sweep re-streams the whole
-  // matrix (and bin matrix) through the cache once PER TREE — for a
-  // fleet-sized batch that is gigabytes of re-read traffic and every
+  // matrix (and bin matrix) through the cache once PER TREE, and every
   // descent gather pays L3 latency. A row block small enough to stay
   // cache-resident across all trees turns those gathers into L1/L2
-  // hits. Bit-identical to the tree-outer order: each row still
-  // accumulates its trees in index order, one rounding per step.
-  constexpr std::size_t kBatchRowBlock = 512;
-  if (UsesQuantized()) {
+  // hits. Each row still accumulates its trees in index order.
+  constexpr std::size_t kRowBlock = 512;
+  if (quant_built_) {
     // Reused per thread: predictor decision batches call this at high
     // rate and the bin buffer would otherwise churn the allocator.
     static thread_local std::vector<std::uint16_t> bins;
     BinBatch(x, bins);
-    for (std::size_t rb = 0; rb < x.rows; rb += kBatchRowBlock) {
-      const std::size_t brows = std::min(kBatchRowBlock, x.rows - rb);
+    const SimdTier tier = ActiveTier();
+    for (std::size_t rb = 0; rb < x.rows; rb += kRowBlock) {
+      const std::size_t brows = std::min(kRowBlock, x.rows - rb);
       for (std::size_t t = 0; t < roots_.size(); ++t) {
         AccumulateTreeQuantTier(t, bins.data() + rb * x.cols, brows, x.cols,
                                 out.subspan(rb, brows), scale, tier);
@@ -398,11 +322,12 @@ void FlatForest::AccumulateBatch(MatrixView x, std::span<double> out,
     }
     return;
   }
-  for (std::size_t rb = 0; rb < x.rows; rb += kBatchRowBlock) {
-    const std::size_t brows = std::min(kBatchRowBlock, x.rows - rb);
-    const MatrixView bx{x.data + rb * x.cols, brows, x.cols};
+  for (std::size_t rb = 0; rb < x.rows; rb += kRowBlock) {
+    const std::size_t brows = std::min(kRowBlock, x.rows - rb);
     for (std::size_t t = 0; t < roots_.size(); ++t) {
-      AccumulateTreeBatchTier(t, bx, out.subspan(rb, brows), scale, tier);
+      AccumulateTreeScalar(nodes_.data(), value_.data(), roots_[t],
+                           levels_[t], x.data + rb * x.cols, brows, x.cols,
+                           out.data() + rb, scale);
     }
   }
 }
@@ -412,96 +337,38 @@ void FlatForest::AccumulateBatchMt(MatrixView x, std::span<double> out,
                                    common::ThreadPool& pool) const {
   CheckWidth(x.cols);
   GAUGUR_CHECK(out.size() == x.rows);
-  const SimdTier tier = ActiveTier();
-  const bool quant = UsesQuantized();
-  const std::size_t trees = roots_.size();
-  const std::size_t workers = pool.NumThreads();
-
-  static thread_local std::vector<std::uint16_t> bins;
-  if (quant) BinBatch(x, bins);
-
-  if (workers < 2 || pool.CurrentThreadInPool() || x.rows == 0) {
-    // Same rows-outer blocking as AccumulateBatch (cache residency
-    // across the tree sweep), same bit-identical accumulation order.
-    constexpr std::size_t kSeqRowBlock = 512;
-    for (std::size_t rb = 0; rb < x.rows; rb += kSeqRowBlock) {
-      const std::size_t brows = std::min(kSeqRowBlock, x.rows - rb);
-      for (std::size_t t = 0; t < trees; ++t) {
-        if (quant) {
-          AccumulateTreeQuantTier(t, bins.data() + rb * x.cols, brows,
-                                  x.cols, out.subspan(rb, brows), scale,
-                                  tier);
-        } else {
-          const MatrixView bx{x.data + rb * x.cols, brows, x.cols};
-          AccumulateTreeBatchTier(t, bx, out.subspan(rb, brows), scale,
-                                  tier);
-        }
-      }
-    }
+  const std::size_t shards = std::min(pool.NumThreads(), x.rows);
+  if (shards < 2 || pool.CurrentThreadInPool()) {
+    AccumulateRows(x, out, scale);
     return;
   }
-
-  // Row blocks bound the staging slab (trees * block rows) so a large
-  // fleet batch never allocates trees * rows doubles at once.
-  constexpr std::size_t kMtRowBlock = 1024;
-  const std::size_t nshards = std::min(workers, trees);
-  std::vector<double> scratch;
+  // One contiguous row range per worker, each run through the
+  // sequential path: rows are independent, so the result is the
+  // sequential one for any worker count.
   std::vector<std::future<void>> futs;
-  futs.reserve(nshards);
-  for (std::size_t rb = 0; rb < x.rows; rb += kMtRowBlock) {
-    const std::size_t brows = std::min(kMtRowBlock, x.rows - rb);
-    const MatrixView bx{x.data + rb * x.cols, brows, x.cols};
-    const std::uint16_t* bbins = quant ? bins.data() + rb * x.cols : nullptr;
-    // Stage per-tree products: scratch[t * brows + i] = scale * leaf.
-    // The slab starts zeroed and the kernels compute `out += scale *
-    // leaf` over it; 0.0 + p == p exactly, so the staged value IS the
-    // product with its single multiply rounding.
-    scratch.assign(trees * brows, 0.0);
-    double* const sbase = scratch.data();
-    futs.clear();
-    for (std::size_t w = 0; w < nshards; ++w) {
-      const std::size_t tb = trees * w / nshards;
-      const std::size_t te = trees * (w + 1) / nshards;
-      futs.push_back(pool.SubmitPinned(w, [=, this] {
-        for (std::size_t t = tb; t < te; ++t) {
-          std::span<double> slab(sbase + t * brows, brows);
-          if (quant) {
-            AccumulateTreeQuantTier(t, bbins, brows, bx.cols, slab, scale,
-                                    tier);
-          } else {
-            AccumulateTreeBatchTier(t, bx, slab, scale, tier);
-          }
-        }
-      }));
-    }
-    std::exception_ptr err;
-    for (auto& f : futs) {
-      try {
-        f.get();
-      } catch (...) {
-        if (!err) err = std::current_exception();
-      }
-    }
-    if (err) std::rethrow_exception(err);
-    // Deterministic reduction: each row adds its tree products in tree
-    // order — exactly the addition sequence of the sequential loop, so
-    // the result is bit-identical for every worker count.
-    for (std::size_t i = 0; i < brows; ++i) {
-      double acc = out[rb + i];
-      for (std::size_t t = 0; t < trees; ++t) {
-        acc += sbase[t * brows + i];
-      }
-      out[rb + i] = acc;
+  futs.reserve(shards);
+  for (std::size_t s = 0; s < shards; ++s) {
+    const std::size_t begin = x.rows * s / shards;
+    const std::size_t rows = x.rows * (s + 1) / shards - begin;
+    futs.push_back(pool.Submit([=, this] {
+      AccumulateRows({x.data + begin * x.cols, rows, x.cols},
+                     out.subspan(begin, rows), scale);
+    }));
+  }
+  std::exception_ptr err;
+  for (auto& f : futs) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!err) err = std::current_exception();
     }
   }
+  if (err) std::rethrow_exception(err);
 }
 
 // --- Quantized descent ---------------------------------------------
 
 void FlatForest::FinalizeQuantized() {
-#if defined(GAUGUR_NO_QUANT)
-  return;
-#else
   if (quant_built_ || Empty()) return;
   if (max_feature_ >= (1u << 16)) return;  // feature must fit 16 bits
 
@@ -560,38 +427,6 @@ void FlatForest::FinalizeQuantized() {
   qmeta_ = std::move(qmeta);
   qchild_ = std::move(qchild);
   quant_built_ = true;
-#endif
-}
-
-bool FlatForest::QuantizedSupported() {
-#if defined(GAUGUR_NO_QUANT)
-  return false;
-#else
-  return true;
-#endif
-}
-
-bool FlatForest::QuantizedActive() {
-  if (!QuantizedSupported()) return false;
-  const int forced = g_forced_quant.load(std::memory_order_relaxed);
-  if (forced >= 0) return forced != 0;
-  static const bool enabled = [] {
-    const char* v = std::getenv("GAUGUR_QUANT");
-    if (v == nullptr) return true;
-    const std::string s(v);
-    return !(s == "off" || s == "0" || s == "false");
-  }();
-  return enabled;
-}
-
-void FlatForest::ForceQuantized(std::optional<bool> on) {
-  if (!on.has_value()) {
-    g_forced_quant.store(-1, std::memory_order_relaxed);
-    return;
-  }
-  GAUGUR_CHECK_MSG(!*on || QuantizedSupported(),
-                   "ForceQuantized(true) in a GAUGUR_NO_QUANT build");
-  g_forced_quant.store(*on ? 1 : 0, std::memory_order_relaxed);
 }
 
 std::size_t FlatForest::NumBinEdges(std::size_t f) const {
@@ -693,10 +528,13 @@ void FlatForest::AccumulateTreeQuantTier(std::size_t t,
   GAUGUR_CHECK_MSG(quant_built_,
                    "quantized descent before FinalizeQuantized");
   GAUGUR_CHECK(out.size() == rows);
+  GAUGUR_CHECK_MSG(tier <= ActiveTier(),
+                   SimdTierName(tier) << " kernel beyond this host's "
+                                      << SimdTierName(ActiveTier()));
   const std::int32_t root = roots_[t];
   const std::int32_t levels = levels_[t];
 #if defined(GAUGUR_SIMD_X86)
-  if (tier >= SimdTier::kAvx2 && FitsInt32(rows, cols)) {
+  if (tier == SimdTier::kAvx2 && FitsInt32(rows, cols)) {
     detail::AccumulateTreeQuantAvx2(qmeta_.data(), qchild_.data(),
                                     value_.data(), root, levels, bins, rows,
                                     cols, out.data(), scale);
@@ -706,28 +544,6 @@ void FlatForest::AccumulateTreeQuantTier(std::size_t t,
   AccumulateTreeQuantScalar(qmeta_.data(), qchild_.data(), value_.data(),
                             root, levels, bins, rows, cols, out.data(),
                             scale);
-}
-
-// --- Multi-core dispatch -------------------------------------------
-
-bool FlatForest::ParallelActive() {
-  const int forced = g_forced_parallel.load(std::memory_order_relaxed);
-  if (forced >= 0) return forced != 0;
-  static const bool enabled = [] {
-    const char* v = std::getenv("GAUGUR_KERNEL_THREADS");
-    if (v == nullptr) return true;
-    const std::string s(v);
-    return !(s == "1" || s == "0" || s == "off");
-  }();
-  return enabled;
-}
-
-void FlatForest::ForceParallel(std::optional<bool> on) {
-  if (!on.has_value()) {
-    g_forced_parallel.store(-1, std::memory_order_relaxed);
-    return;
-  }
-  g_forced_parallel.store(*on ? 1 : 0, std::memory_order_relaxed);
 }
 
 }  // namespace gaugur::ml

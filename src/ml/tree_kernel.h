@@ -14,65 +14,39 @@
 //    16-byte copy per deeper level, threshold +inf so the step adds 0).
 //    Every root-to-leaf walk is therefore exactly the same fixed number
 //    of steps, and step d of a whole row block touches only level d's
-//    segment — one contiguous stream instead of a scatter across the
-//    tree;
+//    segment;
 //  * the child choice collapses to integer arithmetic:
-//    `idx = child + (x[feature] > threshold)` — a comisd/seta data
-//    dependency instead of a mispredicting jump;
-//  * each node packs {threshold, feature, child} into 16 bytes, so one
-//    descent step touches a single node cache line plus the row value it
-//    compares against; leaf values live in a separate array indexed by
-//    the final position;
-//  * batch entry points iterate trees-outer / rows-inner so one tree's
-//    levels stay hot in cache across the whole batch, with the rows
-//    processed in blocks of independent descents for instruction-level
-//    parallelism.
+//    `idx = child + (x[feature] > threshold)` — NaN compares false and
+//    descends left (TreeModel::Predict's `x <= threshold` would send it
+//    right, which is why the ensembles route their scalar paths through
+//    FlatForest too);
+//  * leaf values live in a separate array indexed by the final position
+//    and accumulate as `out += scale * leaf` (separate multiply and add,
+//    never an FMA).
 //
-// The block descent has three interchangeable implementations selected
-// once at startup (AVX2 gathers over 64-row blocks, SSE compares over
-// 16-row blocks, portable 4-row scalar unroll — see SimdTier below;
-// the SIMD blocks are wide to keep many independent descent chains in
-// flight, hiding each chain's serial gather -> compare -> advance
-// latency). All
-// tiers execute the identical recurrence with the identical float
-// compare (`x > threshold`; NaN compares false, so every kernel sends a
-// NaN feature down the left child — note TreeModel::Predict's
-// `x <= threshold` form would send it right, which is why the ensembles
-// route their scalar paths through FlatForest too) and the identical
-// `out += scale * leaf` accumulation (separate multiply and add, never
-// an FMA), so predictions are bit-identical across tiers and match the
-// scalar ensemble loops exactly (per row: tree 0, tree 1, ...) — the
-// property the batch-equivalence and simd_kernel test suites pin down,
-// and the contract the PredictionCache and obs::ModelMonitor depend on
-// (a memoized or audited value never depends on which kernel produced
-// it).
+// Batch entry points block **rows outer, trees inner**: a 512-row block
+// stays cache-resident while every tree sweeps it, and each row still
+// adds its trees in index order — so a batch is bit-identical to the
+// per-row scalar loops (tree 0, tree 1, ...). That is the contract the
+// PredictionCache and obs::ModelMonitor rely on: a memoized or audited
+// value never depends on which path produced it.
 //
-// On top of the float layout sit two independent accelerations, both
-// bound by the same bit-identicality contract (see docs/inference.md):
+// The batch descent is **quantized** (FinalizeQuantized): every distinct
+// split threshold of feature f becomes a bin edge, a batch's values are
+// binned once to uint16 ids, and nodes shrink to 8-byte SoA words, which
+// the AVX2 kernel descends 8 rows per vector. Thresholds ARE the bin
+// edges, so `bin(x) > rank(t)` decides exactly like `x > t` and the
+// result is EXPECT_EQ-equal to the float descent. The portable scalar
+// float descent remains for forests quantization cannot represent and
+// as the reference the exactness tests compare against.
 //
-//  * a **quantized** descent (FinalizeQuantized): every distinct split
-//    threshold of feature f becomes a bin edge, a batch's feature
-//    values are binned once up front (uint16 bin ids), and each node
-//    shrinks to 8 bytes of per-level SoA int32 arrays —
-//    {feature, threshold-rank} packed in one word plus the child index
-//    in another — so a cache line holds 8 nodes instead of 4 and the
-//    AVX2 kernel descends 8 rows per vector with 32-bit gathers instead
-//    of 4 with 64-bit ones. Binning is exact by construction:
-//    thresholds ARE the bin edges, so `bin(x) > rank(t)` decides
-//    exactly like `x > t` (NaN bins to 0 and still descends left; leaf
-//    records carry rank 0xFFFF, which no bin id reaches, so their step
-//    still adds 0). Quantized results are therefore EXPECT_EQ-equal to
-//    the float kernels, not merely close;
-//  * a **multi-core** batch path (AccumulateBatchMt): trees fan out
-//    over common::ThreadPool workers, each tree's per-row contribution
-//    `scale * leaf` is staged in a scratch slab, and a deterministic
-//    tree-order reduction replays the exact addition sequence of the
-//    sequential loop — so results are bit-identical for every worker
-//    count (1, 2, N), and identical to the single-threaded path.
+// Large batches from outside the global pool run **multi-core**
+// (AccumulateBatchMt): each worker takes one contiguous row range, so
+// every row keeps its tree order and the result is bit-identical for
+// any worker count.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -87,18 +61,12 @@ namespace gaugur::ml {
 
 class TreeModel;
 
-/// Descent-kernel implementation tiers, ordered weakest to strongest.
-/// Dispatch picks the strongest tier the build, the CPU, and the
-/// GAUGUR_SIMD environment cap (`off`/`scalar`, `sse`, `avx2`) all
-/// allow. Every tier returns bit-identical predictions.
-enum class SimdTier : int { kScalar = 0, kSse = 1, kAvx2 = 2 };
+/// Quantized descent kernels, weakest to strongest. The build (the
+/// GAUGUR_NO_SIMD gate) and the CPU decide which one batches run; every
+/// tier returns bit-identical predictions.
+enum class SimdTier : int { kScalar = 0, kAvx2 = 1 };
 
 const char* SimdTierName(SimdTier tier);
-
-/// Maps a GAUGUR_SIMD-style string to the tier it caps dispatch at:
-/// "off"/"scalar" -> kScalar, "sse" -> kSse, "avx2" -> kAvx2. Unknown or
-/// empty values leave dispatch uncapped (returns `fallback`).
-SimdTier SimdTierFromString(const char* value, SimdTier fallback);
 
 /// One packed split/leaf record. `child` is the index of the left child;
 /// the right child is `child + 1` (children adjacent in the next level's
@@ -147,33 +115,23 @@ class FlatForest {
   /// order (matches the scalar ensemble loops bit for bit).
   double PredictRowSum(std::span<const double> x) const;
 
-  /// out[i] += scale * tree_t(x.Row(i)) for every row, via ActiveTier().
+  /// out[i] += scale * tree_t(x.Row(i)) for every row, by the portable
+  /// float descent (the boosting fit's per-stage update).
   void AccumulateTreeBatch(std::size_t t, MatrixView x,
                            std::span<double> out, double scale) const;
 
-  /// AccumulateTreeBatch pinned to one kernel tier (<= SupportedTier()),
-  /// ignoring ActiveTier(). Bench/test hook for variant comparisons.
-  void AccumulateTreeBatchTier(std::size_t t, MatrixView x,
-                               std::span<double> out, double scale,
-                               SimdTier tier) const;
-
-  /// Applies AccumulateTreeBatch for every tree in order: trees outer,
-  /// rows inner. Dispatches to the quantized descent when the forest is
-  /// finalized and quantization is active, and to the multi-core path
-  /// on large batches when parallel execution is active (both produce
-  /// bit-identical results, so neither dispatch is observable in the
-  /// outputs).
+  /// out[i] += scale * sum of every tree over row i, trees in index
+  /// order. Takes the quantized descent when the tables are built, the
+  /// float descent otherwise, and AccumulateBatchMt over the global pool
+  /// for batches of 256+ rows when ParallelActive(). Every path is
+  /// bit-identical, so the dispatch is not observable in the outputs.
   void AccumulateBatch(MatrixView x, std::span<double> out,
                        double scale) const;
 
-  /// AccumulateBatch fanned out trees-outer over `pool` via
-  /// SubmitPinned. Each tree's per-row product `scale * leaf` is staged
-  /// in a scratch slab and reduced in tree order, replaying the exact
-  /// addition sequence of the sequential loop — results are
-  /// bit-identical to AccumulateBatch for every pool size. Falls back
-  /// to the sequential path when called from one of `pool`'s own
-  /// workers (a shard worker's decision batch must not re-enter its own
-  /// queue) or when the pool has a single worker.
+  /// AccumulateBatch with rows sharded over `pool`: each worker runs the
+  /// sequential path on one contiguous row range. Runs inline when the
+  /// pool has a single worker or when called from one of its own workers
+  /// (a shard worker's decision batch must not re-enter its own queue).
   void AccumulateBatchMt(MatrixView x, std::span<double> out, double scale,
                          common::ThreadPool& pool) const;
 
@@ -185,33 +143,15 @@ class FlatForest {
   /// A forest the scheme cannot represent exactly (a feature with more
   /// than 65534 distinct thresholds, or a feature index beyond 16 bits)
   /// simply leaves QuantizedBuilt() false and every batch on the float
-  /// path. Compiled out (no-op) under GAUGUR_NO_QUANT.
+  /// descent.
   void FinalizeQuantized();
 
   /// True when FinalizeQuantized built exact tables for this forest.
   bool QuantizedBuilt() const { return quant_built_; }
 
-  /// True when batch calls on this forest will take the quantized
-  /// descent: tables built and quantization active.
-  bool UsesQuantized() const { return quant_built_ && QuantizedActive(); }
-
-  /// Whether this build carries the quantized path at all
-  /// (false under -DGAUGUR_NO_QUANT=ON).
-  static bool QuantizedSupported();
-
-  /// Whether dispatch currently allows the quantized descent: the
-  /// ForceQuantized override when set, else the GAUGUR_QUANT
-  /// environment variable (`off`/`0`/`false` disables; default on,
-  /// read once). Always false when QuantizedSupported() is false.
-  static bool QuantizedActive();
-
-  /// Process-wide dispatch override for benches and tests;
-  /// std::nullopt restores automatic (env-driven) dispatch. Forcing
-  /// quantization on in a GAUGUR_NO_QUANT build throws. Thread-safe
-  /// (relaxed atomic); flipping it concurrently with in-flight batches
-  /// just makes those batches pick either path — results are
-  /// bit-identical regardless.
-  static void ForceQuantized(std::optional<bool> on);
+  /// Always true: every finalized forest's batches take the quantized
+  /// descent. Kept so run fingerprints can record it.
+  static bool QuantizedActive() { return true; }
 
   /// Number of bin edges (distinct split thresholds) of feature `f`;
   /// bin ids for that feature range over [0, NumBinEdges(f)].
@@ -227,44 +167,30 @@ class FlatForest {
   /// exact front half of the quantized batch path.
   void BinBatch(MatrixView x, std::vector<std::uint16_t>& bins) const;
 
-  /// Quantized counterpart of AccumulateTreeBatchTier over a pre-binned
-  /// batch; `tier` >= kAvx2 takes the 8-lane gather kernel, anything
-  /// lower the portable scalar one. Requires QuantizedBuilt().
+  /// out[i] += scale * tree_t(row i) over a pre-binned batch with the
+  /// given kernel (`tier` <= ActiveTier()). Requires QuantizedBuilt().
   void AccumulateTreeQuantTier(std::size_t t, const std::uint16_t* bins,
                                std::size_t rows, std::size_t cols,
                                std::span<double> out, double scale,
                                SimdTier tier) const;
 
-  // --- Multi-core dispatch -----------------------------------------
+  // --- Dispatch state -----------------------------------------------
 
-  /// Whether AccumulateBatch may fan large batches out over the global
-  /// pool: the ForceParallel override when set, else the
-  /// GAUGUR_KERNEL_THREADS environment variable (`1`/`off` disables;
-  /// default on, read once).
+  /// Whether AccumulateBatch fans large batches out: the global pool has
+  /// at least two workers.
   static bool ParallelActive();
 
-  /// Process-wide override of ParallelActive() for benches and tests;
-  /// std::nullopt restores automatic dispatch.
-  static void ForceParallel(std::optional<bool> on);
-
-  /// Strongest tier this build + CPU can execute (compile-time
-  /// GAUGUR_NO_SIMD gate, then CPUID).
-  static SimdTier SupportedTier();
-
-  /// Tier the batch entry points dispatch to: the ForceTier override
-  /// when set, else SupportedTier() capped by the GAUGUR_SIMD
-  /// environment variable (read once).
+  /// The quantized kernel batches run: kAvx2 when the build compiled it
+  /// and the CPU supports it, else kScalar.
   static SimdTier ActiveTier();
-
-  /// Process-wide dispatch override for benches and tests; `tier` must
-  /// be <= SupportedTier(). std::nullopt restores automatic dispatch.
-  /// Thread-safe (relaxed atomic), but flipping it concurrently with
-  /// in-flight batches simply makes those batches pick either kernel —
-  /// results are bit-identical regardless.
-  static void ForceTier(std::optional<SimdTier> tier);
 
  private:
   void CheckWidth(std::size_t cols) const;
+
+  /// The sequential rows-outer path AccumulateBatch and each
+  /// AccumulateBatchMt worker run.
+  void AccumulateRows(MatrixView x, std::span<double> out,
+                      double scale) const;
 
   std::vector<FlatNode> nodes_;
   std::vector<double> value_;         // leaf value; 0 for splits
@@ -283,9 +209,7 @@ class FlatForest {
   std::vector<std::vector<double>> edges_;
   /// The same edges flattened into one contiguous slab for the hot
   /// BinBatch sweep: feature f's slice is
-  /// edge_flat_[edge_off_[f] .. edge_off_[f + 1]). One allocation keeps
-  /// every per-feature slice a pointer bump apart instead of a heap
-  /// object apart.
+  /// edge_flat_[edge_off_[f] .. edge_off_[f + 1]).
   std::vector<double> edge_flat_;
   std::vector<std::uint32_t> edge_off_;
   /// SoA node words, parallel to nodes_ (same level-contiguous index

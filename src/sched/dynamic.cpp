@@ -4,14 +4,12 @@
 #include <barrier>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
-#include <thread>
 #include <unordered_map>
 
 #include "common/check.h"
@@ -665,14 +663,6 @@ DynamicResult SimulateDynamicFleet(const core::ColocationLab& lab,
   DynamicResult result = sim.TakeResult();
   result.placements = std::move(placements);
   return result;
-}
-
-std::size_t FleetShardsFromEnv() {
-  if (const char* env = std::getenv("GAUGUR_FLEET_SHARDS")) {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed >= 1) return static_cast<std::size_t>(parsed);
-  }
-  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
 ShardedFleetResult SimulateShardedFleet(

@@ -167,10 +167,6 @@ inline std::size_t ShardOfServer(std::uint64_t server_id,
   return static_cast<std::size_t>(server_id % num_shards);
 }
 
-/// Shard count from GAUGUR_FLEET_SHARDS (>=1), defaulting to
-/// hardware_concurrency when unset/invalid.
-std::size_t FleetShardsFromEnv();
-
 struct ShardedFleetOptions {
   /// Per-shard simulation contract (QoS floor, server capacity,
   /// candidate cap).

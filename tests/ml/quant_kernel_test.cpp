@@ -1,7 +1,7 @@
 // Property suite for the quantized and multi-core FlatForest paths:
 //
 //  * the quantized descent is EXPECT_EQ-equal (bitwise, not
-//    approximate) to the float kernels over random forests x random
+//    approximate) to the float descent over random forests x random
 //    row blocks, including NaN/inf rows and rows holding exact
 //    bin-edge (threshold) values — the exactness-by-construction
 //    contract: bin edges ARE the split thresholds, so `bin(x) >
@@ -10,13 +10,13 @@
 //    distinct, a threshold's own bin equals its rank (so equality
 //    descends left), the next representable value above it bins one
 //    higher (descends right), NaN bins to 0;
-//  * AccumulateBatchMt is bit-identical to the sequential path for
-//    every worker count (1 / 2 / N), in both the quantized and float
-//    variants — the deterministic tree-order reduction contract;
-//  * dispatch plumbing: ForceQuantized/ForceParallel override the
-//    env-driven defaults, Add() invalidates the quantized tables, and
-//    concurrent batches racing a ForceQuantized flip stay bit-identical
-//    (the TSan job runs this suite).
+//  * the batch paths match a per-tree PredictTree reference for every
+//    worker count and row count (row sharding keeps each row's tree
+//    order), for quantized forests and for the float fallback a forest
+//    FinalizeQuantized declines;
+//  * dispatch state is derived from the global pool, Add() invalidates the quantized tables, and concurrent
+//    multi-core batches stay bit-identical (the TSan job runs this
+//    suite).
 
 #include <gtest/gtest.h>
 
@@ -24,7 +24,6 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -37,42 +36,36 @@
 namespace gaugur::ml {
 namespace {
 
-/// Restores automatic dispatch even if a test fails mid-way.
-struct DispatchGuard {
-  ~DispatchGuard() {
-    FlatForest::ForceTier(std::nullopt);
-    FlatForest::ForceQuantized(std::nullopt);
-    FlatForest::ForceParallel(std::nullopt);
-  }
-};
-
-std::vector<SimdTier> SupportedTiers() {
+/// Every quantized kernel this host runs.
+std::vector<SimdTier> HostTiers() {
   std::vector<SimdTier> tiers{SimdTier::kScalar};
-  if (FlatForest::SupportedTier() >= SimdTier::kSse) {
-    tiers.push_back(SimdTier::kSse);
-  }
-  if (FlatForest::SupportedTier() >= SimdTier::kAvx2) {
+  if (FlatForest::ActiveTier() == SimdTier::kAvx2) {
     tiers.push_back(SimdTier::kAvx2);
   }
   return tiers;
 }
 
-/// Varied-depth forest (stumps through depth 12) fit on noisy data,
-/// finalized for the quantized descent.
-FlatForest MakeQuantForest(std::uint64_t seed, std::vector<TreeModel>* keep) {
+/// Varied-depth trees (stumps through depth 12) fit on noisy data.
+std::vector<TreeModel> MakeTrees(std::uint64_t seed) {
   const Dataset train = testing::MakeRegressionData(260, seed, 0.2);
-  FlatForest flat;
+  std::vector<TreeModel> trees;
   for (int depth : {1, 2, 4, 7, 12}) {
     TreeConfig config;
     config.max_depth = depth;
     config.seed = seed * 131 + static_cast<std::uint64_t>(depth);
     config.min_samples_leaf = depth >= 7 ? 2 : 5;
-    TreeModel tree(config);
-    tree.Fit(train);
-    flat.Add(tree);
-    keep->push_back(std::move(tree));
+    trees.emplace_back(config);
+    trees.back().Fit(train);
   }
-  flat.FinalizeQuantized();
+  return trees;
+}
+
+/// The forest of MakeTrees, finalized for the quantized descent unless
+/// `quantize` is false (the float descent then serves every batch).
+FlatForest MakeForest(std::uint64_t seed, bool quantize = true) {
+  FlatForest flat;
+  for (const TreeModel& tree : MakeTrees(seed)) flat.Add(tree);
+  if (quantize) flat.FinalizeQuantized();
   return flat;
 }
 
@@ -105,13 +98,22 @@ Dataset MakeRowBlock(const FlatForest& flat, std::size_t rows,
   return data;
 }
 
-TEST(QuantKernel, QuantizedMatchesFloatBitwiseOnEveryTier) {
-  if (!FlatForest::QuantizedSupported()) {
-    GTEST_SKIP() << "built with GAUGUR_NO_QUANT";
+/// init + scale * tree_t(row) per row, trees in index order, by the
+/// single-row walk — the reference every batch path must reproduce.
+std::vector<double> PerTreeReference(const FlatForest& flat, MatrixView x,
+                                     double init, double scale) {
+  std::vector<double> out(x.rows, init);
+  for (std::size_t i = 0; i < x.rows; ++i) {
+    for (std::size_t t = 0; t < flat.NumTrees(); ++t) {
+      out[i] += scale * flat.PredictTree(t, x.Row(i));
+    }
   }
+  return out;
+}
+
+TEST(QuantKernel, QuantizedMatchesFloatBitwiseOnEveryTier) {
   for (std::uint64_t seed : {17u, 31u, 59u}) {
-    std::vector<TreeModel> trees;
-    const FlatForest flat = MakeQuantForest(seed, &trees);
+    const FlatForest flat = MakeForest(seed);
     ASSERT_TRUE(flat.QuantizedBuilt());
     // Block sizes straddle the 128-row AVX2 main block, the 16-row mid
     // block, and the scalar tail (plus the scalar kernel's 4-row
@@ -120,12 +122,11 @@ TEST(QuantKernel, QuantizedMatchesFloatBitwiseOnEveryTier) {
       const Dataset block = MakeRowBlock(flat, rows, seed * 977 + rows);
       std::vector<double> reference(rows, 0.5);
       for (std::size_t t = 0; t < flat.NumTrees(); ++t) {
-        flat.AccumulateTreeBatchTier(t, block.Matrix(), reference, 0.375,
-                                     SimdTier::kScalar);
+        flat.AccumulateTreeBatch(t, block.Matrix(), reference, 0.375);
       }
       std::vector<std::uint16_t> bins;
       flat.BinBatch(block.Matrix(), bins);
-      for (SimdTier tier : SupportedTiers()) {
+      for (SimdTier tier : HostTiers()) {
         SCOPED_TRACE(SimdTierName(tier));
         std::vector<double> out(rows, 0.5);
         for (std::size_t t = 0; t < flat.NumTrees(); ++t) {
@@ -143,11 +144,7 @@ TEST(QuantKernel, QuantizedMatchesFloatBitwiseOnEveryTier) {
 }
 
 TEST(QuantKernel, BinEdgesAreTheThresholdsAndDecideIdentically) {
-  if (!FlatForest::QuantizedSupported()) {
-    GTEST_SKIP() << "built with GAUGUR_NO_QUANT";
-  }
-  std::vector<TreeModel> trees;
-  const FlatForest flat = MakeQuantForest(43, &trees);
+  const FlatForest flat = MakeForest(43);
   ASSERT_TRUE(flat.QuantizedBuilt());
   const double inf = std::numeric_limits<double>::infinity();
   for (const FlatNode& n : flat.Nodes()) {
@@ -170,87 +167,115 @@ TEST(QuantKernel, BinEdgesAreTheThresholdsAndDecideIdentically) {
 }
 
 TEST(QuantKernel, WorkerCountNeverChangesABit) {
-  DispatchGuard guard;
-  std::vector<TreeModel> trees;
-  const FlatForest flat = MakeQuantForest(71, &trees);
-  // 2050 rows crosses two kMtRowBlock boundaries plus a remainder.
-  const Dataset block = MakeRowBlock(flat, 2050, 4242);
-
-  for (bool quant : {false, true}) {
-    if (quant && !flat.QuantizedBuilt()) continue;
-    SCOPED_TRACE(quant ? "quantized" : "float");
-    FlatForest::ForceQuantized(FlatForest::QuantizedSupported()
-                                   ? std::optional<bool>(quant)
-                                   : std::nullopt);
-    FlatForest::ForceParallel(false);
-    std::vector<double> reference(block.NumRows(), 0.25);
-    flat.AccumulateBatch(block.Matrix(), reference, 0.75);
-
-    for (std::size_t workers : {1u, 2u, 5u}) {
-      SCOPED_TRACE(workers);
-      common::ThreadPool pool(workers);
-      std::vector<double> out(block.NumRows(), 0.25);
-      flat.AccumulateBatchMt(block.Matrix(), out, 0.75, pool);
-      for (std::size_t i = 0; i < out.size(); ++i) {
-        EXPECT_EQ(reference[i], out[i]) << "row " << i;
+  for (bool quantize : {true, false}) {
+    SCOPED_TRACE(quantize ? "quantized" : "float");
+    const FlatForest flat = MakeForest(71, quantize);
+    ASSERT_EQ(flat.QuantizedBuilt(), quantize);
+    // Empty; fewer rows than workers; a count neither 2 nor 5 divides;
+    // several 512-row blocks plus a remainder.
+    for (std::size_t rows : {0u, 3u, 1001u, 2050u}) {
+      SCOPED_TRACE(rows);
+      const Dataset block = MakeRowBlock(flat, rows, 4242 + rows);
+      const MatrixView x{block.Matrix().data, rows, 5};
+      const std::vector<double> reference =
+          PerTreeReference(flat, x, 0.25, 0.75);
+      for (std::size_t workers : {1u, 2u, 5u}) {
+        SCOPED_TRACE(workers);
+        common::ThreadPool pool(workers);
+        std::vector<double> out(rows, 0.25);
+        flat.AccumulateBatchMt(x, out, 0.75, pool);
+        for (std::size_t i = 0; i < rows; ++i) {
+          EXPECT_EQ(reference[i], out[i]) << "row " << i;
+        }
       }
     }
   }
 }
 
 TEST(QuantKernel, AutoParallelDispatchMatchesSequential) {
-  DispatchGuard guard;
-  std::vector<TreeModel> trees;
-  const FlatForest flat = MakeQuantForest(83, &trees);
+  const FlatForest flat = MakeForest(83);
   const Dataset block = MakeRowBlock(flat, 512, 9191);
+  const std::vector<double> reference =
+      PerTreeReference(flat, block.Matrix(), 0.0, 1.0);
 
-  FlatForest::ForceParallel(false);
-  std::vector<double> reference(block.NumRows(), 0.0);
-  flat.AccumulateBatch(block.Matrix(), reference, 1.0);
-
-  // trees (5) < the trees >= 16 cutoff, so the auto path stays
-  // sequential here — the point is that forcing it on is still safe
-  // and identical through the public entry point.
-  FlatForest::ForceParallel(true);
+  // 512 rows is past the fan-out cutoff, so on a multi-core host the
+  // public entry point runs on the global pool.
+  common::ThreadPool& global = common::ThreadPool::Global();
+  const std::uint64_t tasks0 = global.TasksExecuted();
   std::vector<double> out(block.NumRows(), 0.0);
   flat.AccumulateBatch(block.Matrix(), out, 1.0);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(reference[i], out[i]) << "row " << i;
+  EXPECT_EQ(reference, out);
+  if (FlatForest::ParallelActive()) {
+    EXPECT_GT(global.TasksExecuted(), tasks0);
   }
 
-  // And the explicit MT entry point against the global pool.
   std::fill(out.begin(), out.end(), 0.0);
-  flat.AccumulateBatchMt(block.Matrix(), out, 1.0,
-                         common::ThreadPool::Global());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(reference[i], out[i]) << "row " << i;
+  flat.AccumulateBatchMt(block.Matrix(), out, 1.0, global);
+  EXPECT_EQ(reference, out);
+}
+
+TEST(QuantKernel, FallbackFloatForestMatchesPerTreeReference) {
+  // A complete binary tree of 65535 splits on feature 0, every threshold
+  // distinct: more edges than the quantized tables take on one feature
+  // (at most 65534), so FinalizeQuantized declines and batches take the
+  // float descent.
+  constexpr int kDepth = 16;
+  constexpr int kSplits = (1 << kDepth) - 1;
+  std::vector<TreeNode> nodes;
+  const auto build = [&](auto&& self, int lo, int hi) -> int {
+    const int id = static_cast<int>(nodes.size());
+    nodes.emplace_back();
+    if (lo == hi) {
+      nodes[static_cast<std::size_t>(id)].value = 0.5 * lo;
+      return id;
+    }
+    const int mid = (lo + hi) / 2;
+    const int left = self(self, lo, mid);
+    const int right = self(self, mid + 1, hi);
+    TreeNode& node = nodes[static_cast<std::size_t>(id)];
+    node.feature = 0;
+    node.threshold = (mid + 0.5) / kSplits;
+    node.left = left;
+    node.right = right;
+    return id;
+  };
+  build(build, 0, kSplits);
+  FlatForest flat;
+  flat.Add(TreeModel::FromNodes({}, std::move(nodes)));
+  for (const TreeModel& tree : MakeTrees(5)) flat.Add(tree);
+  flat.FinalizeQuantized();
+  ASSERT_FALSE(flat.QuantizedBuilt());
+
+  // Past the fan-out cutoff, and a count no pool size below divides.
+  const Dataset block = MakeRowBlock(flat, 301, 777);
+  const std::vector<double> reference =
+      PerTreeReference(flat, block.Matrix(), 0.125, 0.5);
+
+  std::vector<double> out(block.NumRows(), 0.125);
+  flat.AccumulateBatch(block.Matrix(), out, 0.5);
+  EXPECT_EQ(reference, out);
+  for (std::size_t workers : {2u, 4u}) {
+    SCOPED_TRACE(workers);
+    common::ThreadPool pool(workers);
+    std::fill(out.begin(), out.end(), 0.125);
+    flat.AccumulateBatchMt(block.Matrix(), out, 0.5, pool);
+    EXPECT_EQ(reference, out);
   }
 }
 
-TEST(QuantKernel, ForceQuantizedOverridesDispatch) {
-  DispatchGuard guard;
-  if (!FlatForest::QuantizedSupported()) {
-    EXPECT_FALSE(FlatForest::QuantizedActive());
-    EXPECT_THROW(FlatForest::ForceQuantized(true), std::logic_error);
-    return;
-  }
-  std::vector<TreeModel> trees;
-  const FlatForest flat = MakeQuantForest(97, &trees);
-  ASSERT_TRUE(flat.QuantizedBuilt());
-  FlatForest::ForceQuantized(true);
+TEST(QuantKernel, DispatchStateIsDerivedNotConfigured) {
+  // Nothing switches these: the quantized descent serves every forest
+  // FinalizeQuantized accepts, and batches fan out whenever the global
+  // pool has workers to fan out to. ActiveTier() is checked by
+  // SimdKernel.ActiveTierIsTheDetectedTier.
   EXPECT_TRUE(FlatForest::QuantizedActive());
-  EXPECT_TRUE(flat.UsesQuantized());
-  FlatForest::ForceQuantized(false);
-  EXPECT_FALSE(FlatForest::QuantizedActive());
-  EXPECT_FALSE(flat.UsesQuantized());
+  EXPECT_EQ(FlatForest::ParallelActive(),
+            common::ThreadPool::Global().NumThreads() >= 2);
 }
 
 TEST(QuantKernel, AddInvalidatesTheQuantizedTables) {
-  if (!FlatForest::QuantizedSupported()) {
-    GTEST_SKIP() << "built with GAUGUR_NO_QUANT";
-  }
-  std::vector<TreeModel> trees;
-  FlatForest flat = MakeQuantForest(3, &trees);
+  const std::vector<TreeModel> trees = MakeTrees(3);
+  FlatForest flat = MakeForest(3);
   ASSERT_TRUE(flat.QuantizedBuilt());
   flat.Add(trees.front());
   EXPECT_FALSE(flat.QuantizedBuilt());
@@ -260,45 +285,37 @@ TEST(QuantKernel, AddInvalidatesTheQuantizedTables) {
   EXPECT_FALSE(flat.QuantizedBuilt());
 }
 
-TEST(QuantKernel, ConcurrentBatchesRacingForceQuantizedStayBitIdentical) {
-  DispatchGuard guard;
-  if (!FlatForest::QuantizedSupported()) {
-    GTEST_SKIP() << "built with GAUGUR_NO_QUANT";
-  }
-  std::vector<TreeModel> trees;
-  const FlatForest flat = MakeQuantForest(61, &trees);
-  const Dataset block = MakeRowBlock(flat, 96, 8888);
-  std::vector<double> reference(block.NumRows(), 0.0);
-  flat.AccumulateBatch(block.Matrix(), reference, 1.0);
+TEST(QuantKernel, ConcurrentMultiCoreBatchesStayBitIdentical) {
+  // Four callers outside the pool fan 300-row batches out over the
+  // global pool at once: every worker bins into its own buffer, and
+  // each caller's rows come back exactly as the single-row walk.
+  for (bool quantize : {true, false}) {
+    SCOPED_TRACE(quantize ? "quantized" : "float");
+    const FlatForest flat = MakeForest(61, quantize);
+    const Dataset block = MakeRowBlock(flat, 300, 8888);
+    const std::vector<double> reference =
+        PerTreeReference(flat, block.Matrix(), 0.0, 1.0);
 
-  std::atomic<bool> stop{false};
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> workers;
-  for (int w = 0; w < 4; ++w) {
-    workers.emplace_back([&] {
-      std::vector<double> out(block.NumRows());
-      for (int iter = 0; iter < 50; ++iter) {
-        std::fill(out.begin(), out.end(), 0.0);
-        flat.AccumulateBatch(block.Matrix(), out, 1.0);
-        for (std::size_t i = 0; i < out.size(); ++i) {
-          const bool same = out[i] == reference[i] ||
-                            (std::isnan(out[i]) && std::isnan(reference[i]));
-          if (!same) mismatches.fetch_add(1);
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> callers;
+    for (int w = 0; w < 4; ++w) {
+      callers.emplace_back([&] {
+        std::vector<double> out(block.NumRows());
+        for (int iter = 0; iter < 20; ++iter) {
+          std::fill(out.begin(), out.end(), 0.0);
+          flat.AccumulateBatch(block.Matrix(), out, 1.0);
+          for (std::size_t i = 0; i < out.size(); ++i) {
+            const bool same =
+                out[i] == reference[i] ||
+                (std::isnan(out[i]) && std::isnan(reference[i]));
+            if (!same) mismatches.fetch_add(1);
+          }
         }
-      }
-    });
-  }
-  std::thread flipper([&] {
-    bool on = false;
-    while (!stop.load()) {
-      FlatForest::ForceQuantized(on = !on);
-      std::this_thread::yield();
+      });
     }
-  });
-  for (auto& worker : workers) worker.join();
-  stop.store(true);
-  flipper.join();
-  EXPECT_EQ(mismatches.load(), 0);
+    for (auto& caller : callers) caller.join();
+    EXPECT_EQ(mismatches.load(), 0);
+  }
 }
 
 }  // namespace

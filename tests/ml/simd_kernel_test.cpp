@@ -1,17 +1,18 @@
-// Property suite for the SIMD-dispatched FlatForest descent:
+// Property suite for the FlatForest descent kernels and layout:
 //
-//  * every kernel tier the host supports (scalar / SSE4.2 / AVX2)
-//    produces bit-identical accumulations over random forests x random
-//    row blocks — the contract that lets runtime dispatch, the
-//    PredictionCache, and the model monitor ignore which kernel ran;
+//  * every kernel — the portable float descent and each quantized tier
+//    the host runs (scalar, AVX2) — produces accumulations bit-identical
+//    to the single-row PredictTree walk over random forests x random
+//    row blocks, the contract that lets the PredictionCache and the
+//    model monitor ignore which kernel ran — also when callers pinned
+//    to different kernels run at once;
+//  * ActiveTier() is the tier the build and the CPU support, and a
+//    kernel the host cannot run is refused;
 //  * the level-ordered layout round-trips: flattening a tree and
 //    walking the flat form reaches the same leaf values as the
 //    canonical pointer traversal, every level is one contiguous
 //    segment, every split's children are adjacent in the next segment,
-//    and a descent touches exactly one node per level;
-//  * dispatch plumbing: ForceTier overrides ActiveTier, GAUGUR_SIMD
-//    string parsing, and concurrent batches racing a ForceTier flip
-//    stay bit-identical (the TSan job runs this suite).
+//    and a descent touches exactly one node per level.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +20,7 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
-#include <optional>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -30,22 +31,6 @@
 
 namespace gaugur::ml {
 namespace {
-
-/// Restores automatic dispatch even if a test fails mid-way.
-struct TierGuard {
-  ~TierGuard() { FlatForest::ForceTier(std::nullopt); }
-};
-
-std::vector<SimdTier> SupportedTiers() {
-  std::vector<SimdTier> tiers{SimdTier::kScalar};
-  if (FlatForest::SupportedTier() >= SimdTier::kSse) {
-    tiers.push_back(SimdTier::kSse);
-  }
-  if (FlatForest::SupportedTier() >= SimdTier::kAvx2) {
-    tiers.push_back(SimdTier::kAvx2);
-  }
-  return tiers;
-}
 
 /// A forest of trees with varied depth/seed fit on noisy data, plus odd
 /// shapes: a stump and a root-only leaf are produced by tiny depth
@@ -67,7 +52,7 @@ FlatForest MakeRandomForest(std::uint64_t seed, std::vector<TreeModel>* keep) {
 }
 
 /// Random row block with some adversarial values mixed in: +/-inf and
-/// NaN (`NaN > t` is false on every tier, so all kernels send NaN rows
+/// NaN (`NaN > t` is false in every kernel, so all of them send NaN rows
 /// down the left child together).
 Dataset MakeRowBlock(std::size_t rows, std::uint64_t seed) {
   common::Rng rng(seed);
@@ -84,31 +69,124 @@ Dataset MakeRowBlock(std::size_t rows, std::uint64_t seed) {
 }
 
 TEST(SimdKernel, AllTiersBitIdenticalOnRandomForestsAndBlocks) {
+  std::vector<SimdTier> quant_tiers{SimdTier::kScalar};
+  if (FlatForest::ActiveTier() == SimdTier::kAvx2) {
+    quant_tiers.push_back(SimdTier::kAvx2);
+  }
   for (std::uint64_t seed : {11u, 23u, 47u}) {
     std::vector<TreeModel> trees;
-    const FlatForest flat = MakeRandomForest(seed, &trees);
+    FlatForest flat = MakeRandomForest(seed, &trees);
+    FlatForest quant = flat;
+    quant.FinalizeQuantized();
+    ASSERT_TRUE(quant.QuantizedBuilt());
     // Block sizes straddle every kernel's unroll width and tail path.
-    for (std::size_t rows : {1u, 3u, 4u, 7u, 8u, 9u, 16u, 33u, 128u}) {
+    for (std::size_t rows : {1u, 3u, 4u, 7u, 8u, 9u, 16u, 33u, 128u, 131u}) {
       const Dataset block = MakeRowBlock(rows, seed * 977 + rows);
       std::vector<double> reference(rows, 0.5);
-      for (std::size_t t = 0; t < flat.NumTrees(); ++t) {
-        flat.AccumulateTreeBatchTier(t, block.Matrix(), reference, 0.375,
-                                     SimdTier::kScalar);
-      }
-      for (SimdTier tier : SupportedTiers()) {
-        SCOPED_TRACE(SimdTierName(tier));
-        std::vector<double> out(rows, 0.5);
+      for (std::size_t i = 0; i < rows; ++i) {
         for (std::size_t t = 0; t < flat.NumTrees(); ++t) {
-          flat.AccumulateTreeBatchTier(t, block.Matrix(), out, 0.375, tier);
+          reference[i] += 0.375 * flat.PredictTree(t, block.Matrix().Row(i));
         }
-        for (std::size_t i = 0; i < rows; ++i) {
-          // Bitwise, not approximate: EXPECT_EQ on doubles.
-          EXPECT_EQ(reference[i], out[i]) << "seed " << seed << " rows "
-                                          << rows << " row " << i;
+      }
+      std::vector<double> out(rows, 0.5);
+      for (std::size_t t = 0; t < flat.NumTrees(); ++t) {
+        flat.AccumulateTreeBatch(t, block.Matrix(), out, 0.375);
+      }
+      // Bitwise, not approximate: EXPECT_EQ on doubles.
+      EXPECT_EQ(reference, out) << "float, seed " << seed << " rows " << rows;
+      std::vector<std::uint16_t> bins;
+      quant.BinBatch(block.Matrix(), bins);
+      for (SimdTier tier : quant_tiers) {
+        std::fill(out.begin(), out.end(), 0.5);
+        for (std::size_t t = 0; t < quant.NumTrees(); ++t) {
+          quant.AccumulateTreeQuantTier(t, bins.data(), rows, 5, out, 0.375,
+                                        tier);
         }
+        EXPECT_EQ(reference, out) << SimdTierName(tier) << ", seed " << seed
+                                  << " rows " << rows;
       }
     }
   }
+}
+
+/// Every quantized kernel this host runs.
+std::vector<SimdTier> HostTiers() {
+  std::vector<SimdTier> tiers{SimdTier::kScalar};
+  if (FlatForest::ActiveTier() == SimdTier::kAvx2) {
+    tiers.push_back(SimdTier::kAvx2);
+  }
+  return tiers;
+}
+
+TEST(SimdKernel, ActiveTierIsTheDetectedTier) {
+#if defined(GAUGUR_SIMD_X86)
+  const SimdTier expected = __builtin_cpu_supports("avx2")
+                                ? SimdTier::kAvx2
+                                : SimdTier::kScalar;
+#else
+  const SimdTier expected = SimdTier::kScalar;
+#endif
+  EXPECT_EQ(FlatForest::ActiveTier(), expected);
+
+  // A kernel the host cannot run is refused, not silently substituted.
+  if (expected == SimdTier::kScalar) {
+    std::vector<TreeModel> trees;
+    FlatForest flat = MakeRandomForest(97, &trees);
+    flat.FinalizeQuantized();
+    const Dataset block = MakeRowBlock(8, 1);
+    std::vector<std::uint16_t> bins;
+    flat.BinBatch(block.Matrix(), bins);
+    std::vector<double> out(8, 0.0);
+    EXPECT_THROW(flat.AccumulateTreeQuantTier(0, bins.data(), 8, 5, out, 1.0,
+                                              SimdTier::kAvx2),
+                 std::logic_error);
+  }
+}
+
+TEST(SimdKernel, ConcurrentPinnedTierBatchesStayBitIdentical) {
+  // Callers pinned to different kernels (the float descent and each
+  // quantized tier) share one forest and one bin buffer at once; the
+  // kernels keep no shared mutable state, so every caller reproduces
+  // the single-row walk exactly.
+  std::vector<TreeModel> trees;
+  FlatForest flat = MakeRandomForest(73, &trees);
+  FlatForest quant = flat;
+  quant.FinalizeQuantized();
+  ASSERT_TRUE(quant.QuantizedBuilt());
+  const std::size_t rows = 131;
+  const Dataset block = MakeRowBlock(rows, 5151);
+  std::vector<double> reference(rows, 0.0);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t t = 0; t < flat.NumTrees(); ++t) {
+      reference[i] += flat.PredictTree(t, block.Matrix().Row(i));
+    }
+  }
+  std::vector<std::uint16_t> bins;
+  quant.BinBatch(block.Matrix(), bins);
+
+  const std::vector<SimdTier> tiers = HostTiers();
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> callers;
+  for (std::size_t w = 0; w < 4; ++w) {
+    callers.emplace_back([&, w] {
+      // Caller 0 runs the float descent; the rest cycle the quantized tiers.
+      std::vector<double> out(rows);
+      for (int iter = 0; iter < 20; ++iter) {
+        std::fill(out.begin(), out.end(), 0.0);
+        for (std::size_t t = 0; t < flat.NumTrees(); ++t) {
+          if (w == 0) {
+            flat.AccumulateTreeBatch(t, block.Matrix(), out, 1.0);
+          } else {
+            quant.AccumulateTreeQuantTier(t, bins.data(), rows, 5, out, 1.0,
+                                          tiers[(w - 1) % tiers.size()]);
+          }
+        }
+        if (out != reference) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (auto& caller : callers) caller.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(SimdKernel, LevelLayoutRoundTripsToPointerTrees) {
@@ -206,75 +284,6 @@ TEST(SimdKernel, DescentTouchesExactlyOneNodePerLevel) {
       ASSERT_LT(idx, le) << "tree " << t << " row " << i;
     }
   }
-}
-
-TEST(SimdKernel, ForceTierOverridesActiveTier) {
-  TierGuard guard;
-  for (SimdTier tier : SupportedTiers()) {
-    FlatForest::ForceTier(tier);
-    EXPECT_EQ(FlatForest::ActiveTier(), tier);
-  }
-  FlatForest::ForceTier(std::nullopt);
-  EXPECT_LE(FlatForest::ActiveTier(), FlatForest::SupportedTier());
-}
-
-TEST(SimdKernel, ForceTierBeyondSupportThrows) {
-  TierGuard guard;
-  if (FlatForest::SupportedTier() == SimdTier::kAvx2) {
-    GTEST_SKIP() << "host supports every tier";
-  }
-  EXPECT_THROW(FlatForest::ForceTier(SimdTier::kAvx2), std::logic_error);
-}
-
-TEST(SimdKernel, SimdTierFromStringParsesTheDocumentedValues) {
-  const SimdTier fb = SimdTier::kAvx2;
-  EXPECT_EQ(SimdTierFromString("off", fb), SimdTier::kScalar);
-  EXPECT_EQ(SimdTierFromString("scalar", fb), SimdTier::kScalar);
-  EXPECT_EQ(SimdTierFromString("sse", fb), SimdTier::kSse);
-  EXPECT_EQ(SimdTierFromString("avx2", fb), SimdTier::kAvx2);
-  EXPECT_EQ(SimdTierFromString(nullptr, fb), fb);
-  EXPECT_EQ(SimdTierFromString("", fb), fb);
-  EXPECT_EQ(SimdTierFromString("bogus", fb), fb);
-}
-
-TEST(SimdKernel, ConcurrentBatchesRacingForceTierStayBitIdentical) {
-  TierGuard guard;
-  std::vector<TreeModel> trees;
-  const FlatForest flat = MakeRandomForest(61, &trees);
-  const Dataset block = MakeRowBlock(96, 8888);
-  std::vector<double> reference(block.NumRows(), 0.0);
-  flat.AccumulateBatch(block.Matrix(), reference, 1.0);
-
-  std::atomic<bool> stop{false};
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> workers;
-  for (int w = 0; w < 4; ++w) {
-    workers.emplace_back([&] {
-      std::vector<double> out(block.NumRows());
-      for (int iter = 0; iter < 50; ++iter) {
-        std::fill(out.begin(), out.end(), 0.0);
-        flat.AccumulateBatch(block.Matrix(), out, 1.0);
-        for (std::size_t i = 0; i < out.size(); ++i) {
-          const bool same =
-              out[i] == reference[i] ||
-              (std::isnan(out[i]) && std::isnan(reference[i]));
-          if (!same) mismatches.fetch_add(1);
-        }
-      }
-    });
-  }
-  std::thread flipper([&] {
-    const auto tiers = SupportedTiers();
-    std::size_t k = 0;
-    while (!stop.load()) {
-      FlatForest::ForceTier(tiers[k++ % tiers.size()]);
-      std::this_thread::yield();
-    }
-  });
-  for (auto& worker : workers) worker.join();
-  stop.store(true);
-  flipper.join();
-  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

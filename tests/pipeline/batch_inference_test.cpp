@@ -10,12 +10,14 @@
 #include <span>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "gaugur/predictor.h"
 #include "ml/tree_kernel.h"
 #include "obs/model_monitor.h"
 #include "obs/switch.h"
 #include "sched/assignment.h"
 #include "sched/dynamic.h"
+#include "sched/enumeration.h"
 #include "sched/methodology.h"
 #include "sched/study.h"
 #include "tests/pipeline/world.h"
@@ -238,47 +240,30 @@ TEST(BatchInferenceTest, BatchPolicyReproducesScalarFleetExactly) {
   EXPECT_DOUBLE_EQ(scalar.server_minutes, batch.server_minutes);
 }
 
-TEST(BatchInferenceTest, QuantizedTierReproducesFloatTierFleetExactly) {
-  if (!ml::FlatForest::QuantizedSupported()) {
-    GTEST_SKIP() << "built with GAUGUR_NO_QUANT";
-  }
-  struct Guard {
-    ~Guard() {
-      ml::FlatForest::ForceQuantized(std::nullopt);
-      ml::FlatForest::ForceParallel(std::nullopt);
-    }
-  } guard;
+TEST(BatchInferenceTest, MultiCoreScoreCandidatesMatchesScalarFeasible) {
   const auto& world = TestWorld::Get();
-  // The uncached predictor: a warm prediction cache would replay the
-  // first run's numbers and mask any kernel difference.
-  const auto method = MakeGAugurCmMethod(Trained().uncached);
-  const auto setup = SelectStudyGames(world.lab(), 6, kQos, 3);
-  const auto trace =
-      GenerateDynamicTrace(setup.game_ids, 150.0, 0.4, 25.0, 23);
-  const auto run = [&] {
-    return SimulateDynamicFleet(
-        world.lab(), trace,
-        MakeBatchFeasiblePolicy(
-            [&](std::span<const Colocation> candidates) {
-              return method->FeasibleBatch(kQos, candidates);
-            }));
-  };
+  // Uncached, so every victim row reaches the kernel in one batch.
+  const auto& predictor = Trained().uncached;
+  const auto setup = SelectStudyGames(world.lab(), 10, kQos, 5);
+  const auto candidates = EnumerateColocations(setup.pool, 4);
+  std::size_t rows = 0;
+  for (const auto& score :
+       predictor.ScoreCandidatesDetailed(kQos, candidates)) {
+    rows += score.queries;
+  }
+  // Past the kernel's 256-row fan-out cutoff.
+  ASSERT_GE(rows, 256u);
 
-  ml::FlatForest::ForceQuantized(false);
-  const auto float_tier = run();
-
-  // Quantized, and quantized + multi-core: every variant must place
-  // every session on exactly the same server as the float kernels.
-  for (const bool parallel : {false, true}) {
-    SCOPED_TRACE(parallel ? "quantized+mt" : "quantized");
-    ml::FlatForest::ForceQuantized(true);
-    ml::FlatForest::ForceParallel(parallel);
-    const auto quant_tier = run();
-    EXPECT_EQ(float_tier.sessions, quant_tier.sessions);
-    EXPECT_EQ(float_tier.peak_servers, quant_tier.peak_servers);
-    EXPECT_EQ(float_tier.violated_sessions, quant_tier.violated_sessions);
-    EXPECT_EQ(float_tier.powerons, quant_tier.powerons);
-    EXPECT_DOUBLE_EQ(float_tier.server_minutes, quant_tier.server_minutes);
+  common::ThreadPool& pool = common::ThreadPool::Global();
+  const std::uint64_t tasks0 = pool.TasksExecuted();
+  const std::vector<char> verdicts = predictor.ScoreCandidates(kQos, candidates);
+  if (ml::FlatForest::ParallelActive()) {
+    EXPECT_GT(pool.TasksExecuted(), tasks0) << rows << " rows";
+  }
+  ASSERT_EQ(verdicts.size(), candidates.size());
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    EXPECT_EQ(verdicts[i] != 0, predictor.PredictFeasible(kQos, candidates[i]))
+        << "candidate " << i;
   }
 }
 

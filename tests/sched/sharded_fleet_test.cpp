@@ -361,11 +361,5 @@ TEST(ShardedFleet, PeakConcurrentSessionsSampledAtBarriers) {
   EXPECT_GT(result.ticks, 0u);
 }
 
-TEST(ShardedFleet, FleetShardsFromEnvParsesAndClamps) {
-  // Not set in the test environment (CI never exports it for unit runs):
-  // falls back to hardware concurrency, which is at least 1.
-  EXPECT_GE(FleetShardsFromEnv(), 1u);
-}
-
 }  // namespace
 }  // namespace gaugur::sched
