@@ -160,7 +160,7 @@ int main(int argc, char** argv) {
 
   // ----- Phase B: shared-cache hit rate (full only). Three arms on the
   // same trace, each from a cold, identically trained predictor:
-  //   single          — 1 shard (the legacy single-threaded profile),
+  //   single          — 1 shard (what SimulateDynamicFleet runs),
   //   sharded shared  — N shards, one cache (the service default), and
   //   sharded private — N shards, one cold cache per replica (control:
   //                     what the shared cache's cross-shard warming buys;

@@ -18,9 +18,6 @@ namespace gaugur::core {
 
 namespace {
 
-constexpr std::uint8_t kRmKind = 0;
-constexpr std::uint8_t kCmKind = 1;
-
 /// Handles into the global metric registry, resolved once. The mutators
 /// are no-ops while obs is disabled.
 struct PredictorMetrics {
@@ -55,8 +52,7 @@ GAugurPredictor::GAugurPredictor(const FeatureBuilder& features,
       cm_(ml::MakeClassifier(config_.cm_algorithm, config_.seed + 1)),
       cache_(std::make_shared<PredictionCache>(
           config_.prediction_cache_capacity,
-          config_.prediction_cache_max_age_arrivals,
-          config_.prediction_cache_stripes)) {}
+          config_.prediction_cache_max_age_arrivals)) {}
 
 GAugurPredictor GAugurPredictor::MakeReplica(bool share_cache) const {
   GAUGUR_CHECK_MSG(rm_trained_ || cm_trained_,
@@ -68,8 +64,7 @@ GAugurPredictor GAugurPredictor::MakeReplica(bool share_cache) const {
     // replica (no cross-shard warming).
     replica.cache_ = std::make_shared<PredictionCache>(
         config_.prediction_cache_capacity,
-        config_.prediction_cache_max_age_arrivals,
-        config_.prediction_cache_stripes);
+        config_.prediction_cache_max_age_arrivals);
   }
   return replica;
 }
@@ -121,11 +116,17 @@ void GAugurPredictor::TrainCmOnDataset(const ml::Dataset& dataset) {
   }
 }
 
-GAugurPredictor::BatchEval GAugurPredictor::EvalRmBatch(
-    std::span<const QosQuery> queries,
+GAugurPredictor::BatchEval GAugurPredictor::EvalBatch(
+    Model model, double qos_fps, std::span<const QosQuery> queries,
     std::span<const std::uint64_t> precomputed_keys) const {
-  GAUGUR_CHECK_MSG(rm_trained_, "RM not trained");
+  const bool cm = model == Model::kCm;
+  GAUGUR_CHECK_MSG(cm ? cm_trained_ : rm_trained_,
+                   (cm ? "CM" : "RM") << " not trained");
   const bool obs_on = obs::Enabled();
+  // CM outputs depend on the QoS floor, so it is part of their cache key.
+  const std::uint64_t qos_bits =
+      cm ? std::bit_cast<std::uint64_t>(qos_fps) : 0;
+  const auto kind = static_cast<std::uint8_t>(model);
   const std::size_t n = queries.size();
   GAUGUR_CHECK(precomputed_keys.empty() || precomputed_keys.size() == n);
   BatchEval ev;
@@ -147,7 +148,7 @@ GAugurPredictor::BatchEval GAugurPredictor::EvalRmBatch(
                        ? ModelJoinKey(queries[i].victim, queries[i].corunners)
                        : precomputed_keys[i];
       CacheLookupOutcome outcome;
-      if (auto hit = cache_->Lookup({ev.keys[i], 0, kRmKind}, &outcome)) {
+      if (auto hit = cache_->Lookup({ev.keys[i], qos_bits, kind}, &outcome)) {
         ev.values[i] = hit->value;
         ev.x[i] = hit->features;
         ev.hits[i] = std::move(hit);
@@ -159,107 +160,42 @@ GAugurPredictor::BatchEval GAugurPredictor::EvalRmBatch(
   }
 
   // Misses: one row-major matrix, one batched model call.
-  const std::size_t dim = features_->RmDim();
+  const std::size_t dim = cm ? features_->CmDim() : features_->RmDim();
   ev.matrix.reserve(miss.size() * dim);
   {
     obs::PhaseTimer phase(obs::Phase::kFeatureBuild);
     for (std::size_t i : miss) {
-      features_->AppendRmFeatures(queries[i].victim, queries[i].corunners,
-                                  ev.matrix);
-    }
-  }
-  std::vector<double> out(miss.size());
-  if (!miss.empty()) {
-    obs::PhaseTimer phase(obs::Phase::kKernelEval);
-    rm_->PredictBatch(ml::MatrixView{ev.matrix.data(), miss.size(), dim},
-                      out);
-  }
-  {
-    obs::PhaseTimer phase(obs::Phase::kCacheLookup);
-    for (std::size_t j = 0; j < miss.size(); ++j) {
-      const std::size_t i = miss[j];
-      const double degradation = std::clamp(out[j], 0.01, 1.0);
-      ev.values[i] = degradation;
-      const std::span<const double> row{ev.matrix.data() + j * dim, dim};
-      ev.x[i] = row;
-      evicted += cache_->Insert(
-          {ev.keys[i], 0, kRmKind},
-          {std::vector<double>(row.begin(), row.end()), degradation});
-    }
-  }
-
-  if (obs_on) {
-    auto& metrics = PredictorMetrics::Get();
-    metrics.batch_size.Record(static_cast<double>(n));
-    metrics.cache_hits.Add(n - miss.size());
-    metrics.cache_misses.Add(miss.size());
-    metrics.cache_evictions.Add(evicted);
-    metrics.cache_expired.Add(expired);
-  }
-  return ev;
-}
-
-GAugurPredictor::BatchEval GAugurPredictor::EvalCmBatch(
-    double qos_fps, std::span<const QosQuery> queries,
-    std::span<const std::uint64_t> precomputed_keys) const {
-  GAUGUR_CHECK_MSG(cm_trained_, "CM not trained");
-  const bool obs_on = obs::Enabled();
-  const std::uint64_t qos_bits = std::bit_cast<std::uint64_t>(qos_fps);
-  const std::size_t n = queries.size();
-  GAUGUR_CHECK(precomputed_keys.empty() || precomputed_keys.size() == n);
-  BatchEval ev;
-  ev.values.resize(n);
-  ev.keys.resize(n);
-  ev.x.resize(n);
-  ev.hits.resize(n);
-
-  std::uint64_t expired = 0, evicted = 0;
-  std::vector<std::size_t> miss;
-  miss.reserve(n);
-  {
-    obs::PhaseTimer phase(obs::Phase::kCacheLookup);
-    for (std::size_t i = 0; i < n; ++i) {
-      ev.keys[i] = precomputed_keys.empty()
-                       ? ModelJoinKey(queries[i].victim, queries[i].corunners)
-                       : precomputed_keys[i];
-      CacheLookupOutcome outcome;
-      if (auto hit =
-              cache_->Lookup({ev.keys[i], qos_bits, kCmKind}, &outcome)) {
-        ev.values[i] = hit->value;
-        ev.x[i] = hit->features;
-        ev.hits[i] = std::move(hit);
+      if (cm) {
+        features_->AppendCmFeatures(qos_fps, queries[i].victim,
+                                    queries[i].corunners, ev.matrix);
       } else {
-        if (outcome == CacheLookupOutcome::kExpired) ++expired;
-        miss.push_back(i);
+        features_->AppendRmFeatures(queries[i].victim, queries[i].corunners,
+                                    ev.matrix);
       }
     }
   }
-
-  const std::size_t dim = features_->CmDim();
-  ev.matrix.reserve(miss.size() * dim);
-  {
-    obs::PhaseTimer phase(obs::Phase::kFeatureBuild);
-    for (std::size_t i : miss) {
-      features_->AppendCmFeatures(qos_fps, queries[i].victim,
-                                  queries[i].corunners, ev.matrix);
-    }
-  }
   std::vector<double> out(miss.size());
   if (!miss.empty()) {
     obs::PhaseTimer phase(obs::Phase::kKernelEval);
-    cm_->PredictProbBatch(
-        ml::MatrixView{ev.matrix.data(), miss.size(), dim}, out);
+    const ml::MatrixView x{ev.matrix.data(), miss.size(), dim};
+    if (cm) {
+      cm_->PredictProbBatch(x, out);
+    } else {
+      rm_->PredictBatch(x, out);
+    }
   }
   {
     obs::PhaseTimer phase(obs::Phase::kCacheLookup);
     for (std::size_t j = 0; j < miss.size(); ++j) {
       const std::size_t i = miss[j];
-      ev.values[i] = out[j];
+      // RM degradation is a fraction of solo FPS; CM is a probability.
+      const double value = cm ? out[j] : std::clamp(out[j], 0.01, 1.0);
+      ev.values[i] = value;
       const std::span<const double> row{ev.matrix.data() + j * dim, dim};
       ev.x[i] = row;
       evicted += cache_->Insert(
-          {ev.keys[i], qos_bits, kCmKind},
-          {std::vector<double>(row.begin(), row.end()), out[j]});
+          {ev.keys[i], qos_bits, kind},
+          {std::vector<double>(row.begin(), row.end()), value});
     }
   }
 
@@ -288,7 +224,7 @@ double GAugurPredictor::PredictDegradation(
     const SessionRequest& victim,
     std::span<const SessionRequest> corunners) const {
   const QosQuery query{victim, corunners};
-  const BatchEval ev = EvalRmBatch({&query, 1});
+  const BatchEval ev = EvalBatch(Model::kRm, 0.0, {&query, 1});
   // Audited in FPS units (degradation x profiled solo FPS) so the record
   // joins against realized FPS like every other RM entry.
   AuditRm(ev.keys[0], ev.x[0], ev.values[0] * SoloFps(victim),
@@ -300,7 +236,7 @@ double GAugurPredictor::PredictFps(
     const SessionRequest& victim,
     std::span<const SessionRequest> corunners) const {
   const QosQuery query{victim, corunners};
-  const BatchEval ev = EvalRmBatch({&query, 1});
+  const BatchEval ev = EvalBatch(Model::kRm, 0.0, {&query, 1});
   const double fps = ev.values[0] * SoloFps(victim);
   AuditRm(ev.keys[0], ev.x[0], fps, /*qos_fps=*/0.0, /*decision=*/false);
   return fps;
@@ -308,7 +244,7 @@ double GAugurPredictor::PredictFps(
 
 std::vector<double> GAugurPredictor::PredictFpsBatch(
     std::span<const QosQuery> queries) const {
-  const BatchEval ev = EvalRmBatch(queries);
+  const BatchEval ev = EvalBatch(Model::kRm, 0.0, queries);
   std::vector<double> fps(queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
     fps[i] = ev.values[i] * SoloFps(queries[i].victim);
@@ -338,7 +274,8 @@ std::vector<char> GAugurPredictor::QosOkBatchDetailed(
   if (cache_hit != nullptr) cache_hit->assign(queries.size(), 0);
   if (margin != nullptr) margin->assign(queries.size(), 0.0);
   if (cm_trained_) {
-    const BatchEval ev = EvalCmBatch(qos_fps, queries, precomputed_keys);
+    const BatchEval ev =
+        EvalBatch(Model::kCm, qos_fps, queries, precomputed_keys);
     const bool obs_on = obs::Enabled();
     for (std::size_t i = 0; i < queries.size(); ++i) {
       const bool feasible = ev.values[i] >= config_.cm_decision_threshold;
@@ -358,7 +295,8 @@ std::vector<char> GAugurPredictor::QosOkBatchDetailed(
     return ok;
   }
   // RM fallback: threshold the predicted absolute FPS against QoS.
-  const BatchEval ev = EvalRmBatch(queries, precomputed_keys);
+  const BatchEval ev =
+      EvalBatch(Model::kRm, qos_fps, queries, precomputed_keys);
   for (std::size_t i = 0; i < queries.size(); ++i) {
     const double fps = ev.values[i] * SoloFps(queries[i].victim);
     const bool feasible = fps >= qos_fps;

@@ -51,11 +51,6 @@ struct PredictorConfig {
   /// (ScoreCandidates calls): an entry older than this many arrivals
   /// expires on lookup. 0 = entries live until the next retrain.
   std::size_t prediction_cache_max_age_arrivals = 0;
-  /// Lock stripes of the PredictionCache. The sharded fleet service
-  /// shares one cache across every predictor replica, so contention
-  /// scales with stripe count; 1 reproduces the single-lock global-LRU
-  /// eviction order exactly (tests pinning eviction order use 1).
-  std::size_t prediction_cache_stripes = PredictionCache::kDefaultStripes;
 };
 
 /// Per-candidate provenance of one ScoreCandidatesDetailed call: how the
@@ -183,15 +178,17 @@ class GAugurPredictor {
     std::vector<std::shared_ptr<const CachedPrediction>> hits;
     std::vector<double> matrix;
   };
-  /// `precomputed_keys`, when non-empty, supplies ModelJoinKey per query
-  /// (callers with incremental colocation hashes derive them in O(1));
-  /// empty means compute from the query itself. Either way the keys are
-  /// identical by construction.
-  BatchEval EvalRmBatch(std::span<const QosQuery> queries,
-                        std::span<const std::uint64_t> precomputed_keys = {})
-      const;
-  BatchEval EvalCmBatch(double qos_fps, std::span<const QosQuery> queries,
-                        std::span<const std::uint64_t> precomputed_keys = {})
+  /// Which model a batch runs; the value is the PredictionCacheKey kind.
+  enum class Model : std::uint8_t { kRm = 0, kCm = 1 };
+  /// Evaluates `model` over the batch through the cache. `qos_fps` is part
+  /// of CM features and cache keys; RM ignores it. `precomputed_keys`,
+  /// when non-empty, supplies ModelJoinKey per query (callers with
+  /// incremental colocation hashes derive them in O(1)); empty means
+  /// compute from the query itself. Either way the keys are identical by
+  /// construction.
+  BatchEval EvalBatch(Model model, double qos_fps,
+                      std::span<const QosQuery> queries,
+                      std::span<const std::uint64_t> precomputed_keys = {})
       const;
 
   /// PredictQosOkBatch plus optional per-query provenance: when non-null,

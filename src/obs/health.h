@@ -3,7 +3,8 @@
 // The passive layers (metrics registry, model monitor, fleet time series,
 // streaming sinks) record what happened; nothing watched them until now.
 // HealthEngine evaluates a set of AlertRules on the simulation-tick
-// cadence (SimulateDynamicFleet calls Evaluate(now) per event, behind
+// cadence (the fleet engine calls Evaluate(window_end) once per tick
+// window while every shard is quiescent, plus one final pass, behind
 // GAUGUR_OBS_ENABLED) against four live sources:
 //
 //   * Registry counters / gauges / histogram quantiles (levels, windowed

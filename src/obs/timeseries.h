@@ -1,10 +1,11 @@
 // Bounded per-server fleet time series.
 //
-// SimulateDynamicFleet records one ServerSample per server whenever that
-// server's colocation changes (arrival or departure): the sim tick plus,
-// for every occupied slot, the realized FPS and the equilibrium pressure
-// on each of the seven shared resources. Forensics tooling uses the
-// series to show what a server looked like around a QoS violation.
+// The fleet engine (every shard of SimulateShardedFleet) records one
+// ServerSample per server whenever that server's colocation changes
+// (arrival or departure): the sim tick plus, for every occupied slot,
+// the realized FPS and the equilibrium pressure on each of the seven
+// shared resources. Forensics tooling uses the series to show what a
+// server looked like around a QoS violation.
 //
 // Memory is bounded per server by a thinning downsampler: each series
 // keeps at most `capacity_per_server` samples and enforces a minimum

@@ -4,7 +4,6 @@
 #include <barrier>
 #include <chrono>
 #include <cmath>
-#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -89,12 +88,11 @@ struct GroundTruth {
   bool has_pressures = false;
 };
 
-/// One shard's half of the fleet simulation: owns its servers, departure
-/// queue, ground-truth memo, RNG stream, and per-shard tallies. The
-/// legacy single-threaded SimulateDynamicFleet is exactly one ShardSim in
-/// `shard < 0` mode (fleet-global ids == local ids, no event tagging,
-/// per-arrival health passes) — the sharded service runs N of these on
-/// pinned pool workers with tick barriers between windows.
+/// One shard of the fleet simulation: owns its servers, departure queue,
+/// ground-truth memo, RNG stream, and per-shard tallies. The fleet engine
+/// runs N of these on pinned pool workers with tick barriers between
+/// windows (SimulateDynamicFleet is the N = 1 case); every event a shard
+/// emits carries its "shard" index.
 ///
 /// Fleet-global server ids interleave shards: shard s's k-th local server
 /// is id `k * num_shards + s`, so ShardOfServer(id) recovers ownership.
@@ -106,12 +104,9 @@ class ShardSim {
     /// This shard's arrivals: indices into `requests`, time-sorted.
     std::vector<std::size_t> order;
     DynamicOptions options;
-    /// -1 = legacy mode (single thread, untagged events, health per
-    /// arrival); >= 0 = sharded mode.
-    int shard = -1;
+    std::size_t shard = 0;
     std::size_t num_shards = 1;
     std::uint64_t seed = 0;
-    bool collect_latencies = false;
     /// Full-size (requests.size()) array; each shard writes only its own
     /// request indices, so concurrent shards never touch the same slot.
     long long* placements_out = nullptr;
@@ -124,24 +119,17 @@ class ShardSim {
         options_(config.options),
         shard_(config.shard),
         num_shards_(std::max<std::size_t>(config.num_shards, 1)),
-        rng_(config.seed ^
-             (0x9e3779b97f4a7c15ULL *
-              (static_cast<std::uint64_t>(std::max(config.shard, 0)) + 1))),
-        collect_latencies_(config.collect_latencies),
+        rng_(config.seed ^ (0x9e3779b97f4a7c15ULL * (config.shard + 1))),
         placements_out_(config.placements_out),
         violated_(config.requests.size(), 0),
-        shard_placements_(
-            config.shard >= 0
-                ? &obs::Registry::Global().GetCounter(
-                      "sched.shard." + std::to_string(config.shard) +
-                      ".placements")
-                : nullptr) {
+        shard_placements_(obs::Registry::Global().GetCounter(
+            "sched.shard." + std::to_string(config.shard) + ".placements")) {
     GAUGUR_CHECK(options_.max_sessions_per_server >= 1);
     result_.sessions = order_.size();
   }
 
   /// Admits every arrival with arrival_min < window_end (departures due
-  /// before each arrival are processed first, as in the legacy loop).
+  /// before each arrival are processed first).
   void RunWindow(const PlacementPolicy& policy, double window_end) {
     while (next_arrival_ < order_.size() &&
            requests_[order_[next_arrival_]].arrival_min < window_end) {
@@ -150,24 +138,22 @@ class ShardSim {
     }
   }
 
-  /// Processes departures due by `until` (sharded mode runs this at every
-  /// window boundary so monitor totals and the time series never lag a
-  /// whole shard behind the barrier clock).
+  /// Processes departures due by `until` (run at every window boundary so
+  /// monitor totals and the time series never lag a whole shard behind
+  /// the barrier clock).
   void DrainUpTo(double until) {
     while (!departures_.empty() && departures_.begin()->first <= until) {
-      PopDeparture(/*with_health=*/false);
+      PopDeparture();
     }
   }
 
-  /// Drains every remaining departure (end of run). In legacy mode each
-  /// departure also runs a health pass, like the historical drain loop.
+  /// Drains every remaining departure (end of run).
   void FinalDrain() {
-    while (!departures_.empty()) {
-      PopDeparture(/*with_health=*/shard_ < 0);
-    }
+    while (!departures_.empty()) PopDeparture();
   }
 
   std::size_t LiveSessions() const { return live_sessions_; }
+  std::size_t PendingArrivals() const { return order_.size() - next_arrival_; }
   double LastEventTime() const { return last_event_time_; }
   std::vector<double>& Latencies() { return latencies_; }
 
@@ -178,14 +164,11 @@ class ShardSim {
 
  private:
   std::uint64_t GlobalId(std::size_t local) const {
-    return shard_ < 0 ? local
-                      : static_cast<std::uint64_t>(local) * num_shards_ +
-                            static_cast<std::uint64_t>(shard_);
+    return static_cast<std::uint64_t>(local) * num_shards_ + shard_;
   }
 
-  /// Adds the sharded-run shard tag (legacy events stay byte-identical).
   void TagShard(obs::JsonObject& fields) const {
-    if (shard_ >= 0) fields["shard"] = obs::JsonValue(shard_);
+    fields["shard"] = obs::JsonValue(static_cast<unsigned long long>(shard_));
   }
 
   /// Moves server `s` between the idle/open index sets after its session
@@ -332,7 +315,7 @@ class ShardSim {
     result_.peak_servers = std::max(result_.peak_servers, live_servers_);
   }
 
-  void PopDeparture(bool with_health) {
+  void PopDeparture() {
     const auto [server_idx, request_idx] = departures_.begin()->second;
     const double when = departures_.begin()->first;
     departures_.erase(departures_.begin());
@@ -360,16 +343,13 @@ class ShardSim {
     }
     MarkViolations(server_idx, when);  // survivors' smaller colocation
     BillAndUpdate(server_idx, when, server.sessions.empty());
-    if (with_health && obs::Enabled()) {
-      obs::HealthEngine::Global().Evaluate(when);
-    }
   }
 
   /// Picks the open-server candidates for one arrival: every open server
-  /// (ascending index — the legacy contract) when uncapped or under the
-  /// cap, else the lowest-index half of the cap plus a seeded random
-  /// sample of the remaining open servers (Floyd's algorithm on this
-  /// shard's RNG stream), re-sorted so the view stays ascending.
+  /// (ascending index) when uncapped or under the cap, else the
+  /// lowest-index half of the cap plus a seeded random sample of the
+  /// remaining open servers (Floyd's algorithm on this shard's RNG
+  /// stream), re-sorted so the view stays ascending.
   void SelectCandidates() {
     candidate_locals_.clear();
     const std::size_t cap = options_.max_policy_candidates;
@@ -398,27 +378,12 @@ class ShardSim {
     const DynamicRequest& request = requests_[oi];
     const double now = request.arrival_min;
     last_event_time_ = std::max(last_event_time_, now);
-
-    if (shard_ < 0 && obs::Enabled()) {
-      // Legacy mode: the sim clock advances per arrival. (Sharded runs
-      // tick the sink and health engine at barrier boundaries instead,
-      // while every shard is quiescent.)
-      if (obs::TelemetrySink* sink = obs::TelemetrySink::Active()) {
-        sink->NoteTick(now);
-      }
-      obs::HealthEngine::Global().Evaluate(now);
-    }
-
-    // Process departures up to `now`.
-    while (!departures_.empty() && departures_.begin()->first <= now) {
-      PopDeparture(/*with_health=*/false);
-    }
+    DrainUpTo(now);
 
     // Flight recorder: everything from here to EndDecision below is
     // attributed to a phase (or falls into policy_select's exclusive
     // remainder). No-op unless the profiler is armed and obs is on.
-    obs::LatencyProfiler::Global().BeginDecision(
-        static_cast<std::size_t>(std::max(shard_, 0)));
+    obs::LatencyProfiler::Global().BeginDecision(shard_);
 
     // Policy sees only servers with a free slot.
     {
@@ -468,21 +433,21 @@ class ShardSim {
               std::chrono::steady_clock::now() - t0)
               .count();
       SchedMetrics::Get().decision_us.Record(us);
-      if (collect_latencies_) latencies_.push_back(us);
+      latencies_.push_back(us);
     }
     if (obs::Enabled()) {
       SchedMetrics& metrics = SchedMetrics::Get();
       metrics.placements.Add(1);
-      if (shard_placements_ != nullptr) shard_placements_->Add(1);
-      if (shard_ >= 0) metrics.shard_backlog.Sub(1);
+      shard_placements_.Add(1);
+      metrics.shard_backlog.Sub(1);
       // Open servers the policy was offered but did not pick.
       metrics.candidates_rejected.Add(open_view_.size() -
                                       (choice >= 0 ? 1 : 0));
     }
     std::size_t target;
     if (choice < 0) {
-      // Reuse a powered-off slot if one exists (lowest index, like the
-      // legacy first-empty scan), else grow the fleet.
+      // Reuse the lowest-index powered-off slot if one exists, else grow
+      // the fleet.
       if (idle_.empty()) {
         servers_.emplace_back();
         target = servers_.size() - 1;
@@ -561,17 +526,16 @@ class ShardSim {
   std::vector<std::size_t> order_;
   std::size_t next_arrival_ = 0;
   DynamicOptions options_;
-  int shard_;
+  std::size_t shard_;
   std::size_t num_shards_;
   common::Rng rng_;
-  bool collect_latencies_;
   long long* placements_out_;
 
   std::vector<LiveServer> servers_;
   /// Local indices of partially filled servers (0 < n < max), ordered so
-  /// the per-arrival candidate view stays ascending like the legacy scan.
+  /// the per-arrival candidate view stays ascending.
   std::set<std::size_t> open_;
-  /// Local indices of empty (powered-off) servers; begin() is the legacy
+  /// Local indices of empty (powered-off) servers; begin() is the
   /// first-empty reuse choice.
   std::set<std::size_t> idle_;
   std::multimap<double, std::pair<std::size_t, std::size_t>> departures_;
@@ -583,7 +547,7 @@ class ShardSim {
   std::size_t peak_live_sessions_ = 0;
   double last_event_time_ = 0.0;
   std::vector<double> latencies_;
-  obs::Counter* shard_placements_;
+  obs::Counter& shard_placements_;
 
   // Per-arrival scratch (kept across arrivals to avoid reallocation).
   std::vector<Colocation> open_view_;
@@ -593,8 +557,7 @@ class ShardSim {
   std::set<std::size_t> sample_;
 };
 
-/// Sorts request indices by arrival time (stable on ties, like the
-/// legacy loop).
+/// Sorts request indices by arrival time (stable on ties).
 std::vector<std::size_t> TimeOrder(std::span<const DynamicRequest> requests) {
   std::vector<std::size_t> order(requests.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -643,26 +606,10 @@ DynamicResult SimulateDynamicFleet(const core::ColocationLab& lab,
                                    std::span<const DynamicRequest> requests,
                                    const PlacementPolicy& policy,
                                    const DynamicOptions& options) {
-  GAUGUR_CHECK(options.max_sessions_per_server >= 1);
-  obs::ScopedSpan fleet_span("sched.SimulateDynamicFleet");
-  std::optional<obs::SubscriptionScope> drift_ack;
-  InstallDriftAck(drift_ack);
-
-  std::vector<long long> placements(requests.size(), -1);
-  ShardSim sim({.lab = &lab,
-                .requests = requests,
-                .order = TimeOrder(requests),
-                .options = options,
-                .shard = -1,
-                .num_shards = 1,
-                .seed = 0,
-                .collect_latencies = false,
-                .placements_out = placements.data()});
-  sim.RunWindow(policy, std::numeric_limits<double>::infinity());
-  sim.FinalDrain();
-  DynamicResult result = sim.TakeResult();
-  result.placements = std::move(placements);
-  return result;
+  return SimulateShardedFleet(
+             lab, requests, [&policy](std::size_t) { return policy; },
+             {.dynamic = options, .num_shards = 1})
+      .total;
 }
 
 ShardedFleetResult SimulateShardedFleet(
@@ -706,11 +653,9 @@ ShardedFleetResult SimulateShardedFleet(
                          .requests = requests,
                          .order = std::move(shard_orders[k]),
                          .options = options.dynamic,
-                         .shard = static_cast<int>(k),
+                         .shard = k,
                          .num_shards = num_shards,
                          .seed = options.seed,
-                         .collect_latencies =
-                             options.collect_decision_latencies,
                          .placements_out = placements.data()}));
     policies.push_back(policy_factory(k));
   }
@@ -723,8 +668,7 @@ ShardedFleetResult SimulateShardedFleet(
 
   // Tick barrier: when every shard has admitted its window and gone
   // quiescent, exactly one thread samples fleet-wide concurrency and runs
-  // the health + telemetry-sink tick — the sharded analogue of the legacy
-  // per-arrival passes.
+  // the health + telemetry-sink tick.
   std::size_t ticks = 0;
   std::size_t peak_live = 0;
   // Per-window in-window work time, one slot per shard: each shard
@@ -816,6 +760,11 @@ ShardedFleetResult SimulateShardedFleet(
 
   if (obs::Enabled()) {
     SchedMetrics::Get().shards.Sub(static_cast<std::int64_t>(num_shards));
+    // A failed shard stops admitting; its unadmitted rest leaves the
+    // backlog too, so the gauge returns to rest on every exit.
+    std::size_t pending = 0;
+    for (const auto& sim : sims) pending += sim->PendingArrivals();
+    SchedMetrics::Get().shard_backlog.Sub(static_cast<std::int64_t>(pending));
   }
   for (const auto& error : errors) {
     if (error) std::rethrow_exception(error);
@@ -844,7 +793,7 @@ ShardedFleetResult SimulateShardedFleet(
   out.decision_latency_p50_us = Quantile(all_latencies, 0.50);
   out.decision_latency_p99_us = Quantile(all_latencies, 0.99);
   if (obs::Enabled()) {
-    // One final pass after the drain, like the legacy loop's tail.
+    // One final pass after the drain.
     obs::HealthEngine::Global().Evaluate(
         std::max(last_event, window_ends.back()));
   }

@@ -46,11 +46,11 @@ struct DynamicOptions {
   std::size_t max_sessions_per_server = 4;
   double qos_fps = 60.0;
   /// Upper bound on the open servers offered to the policy per arrival;
-  /// 0 = offer all (the bit-identical legacy contract). With a positive
-  /// cap and more open servers than the cap, the policy sees the
-  /// lowest-indexed half of the cap (preserving first-feasible packing
-  /// pressure) plus a seeded random sample of the rest (spreading
-  /// exploration) — bounding per-decision cost at fleet scale.
+  /// 0 = offer every open server. With a positive cap and more open
+  /// servers than the cap, the policy sees the lowest-indexed half of the
+  /// cap (preserving first-feasible packing pressure) plus a seeded
+  /// random sample of the rest (spreading exploration) — bounding
+  /// per-decision cost at fleet scale.
   std::size_t max_policy_candidates = 0;
 };
 
@@ -75,15 +75,19 @@ struct DynamicResult {
   }
 };
 
-/// Runs the fleet simulation. `requests` need not be sorted. The policy
+/// Runs the fleet simulation: SimulateShardedFleet with one shard whose
+/// policy is `policy` (called on the shard's worker thread; an exception
+/// it throws is rethrown here). `requests` need not be sorted. The policy
 /// only sees servers with a free slot.
 ///
-/// With observability enabled, every arrival (and the final departure
-/// drain) also runs one obs::HealthEngine::Global().Evaluate(now) pass —
-/// arm it with rules (e.g. InstallDefaultRules) before the run to get
-/// live SLO burn-rate / deficit / drift alerts in the event stream. A
-/// demo subscriber acknowledges PSI-drift firings into the provenance
-/// log for the run's duration.
+/// With observability enabled, the health engine and telemetry sink tick
+/// once per 5-minute window plus one final pass after the drain (see
+/// ShardedFleetOptions::tick_window_min), and every event carries
+/// "shard": 0. Arm obs::HealthEngine::Global() with rules (e.g.
+/// InstallDefaultRules) before the run to get live SLO burn-rate /
+/// deficit / drift alerts in the event stream. A demo subscriber
+/// acknowledges PSI-drift firings into the provenance log for the run's
+/// duration.
 DynamicResult SimulateDynamicFleet(const core::ColocationLab& lab,
                                    std::span<const DynamicRequest> requests,
                                    const PlacementPolicy& policy,
@@ -129,10 +133,10 @@ struct CandidateJudgement {
 };
 
 /// Side channel between a provenance-aware policy and the fleet
-/// simulator: the policy fills this during its call, and
-/// SimulateDynamicFleet folds it into the decision event it appends to
-/// obs::EventLog right after. Thread-local, cleared before every policy
-/// invocation; plain policies simply leave it empty.
+/// simulator: the policy fills this during its call, and the simulator
+/// folds it into the decision event it appends to obs::EventLog right
+/// after. Thread-local, cleared before every policy invocation; plain
+/// policies simply leave it empty.
 struct DecisionDetail {
   bool has_detail = false;
   std::vector<CandidateJudgement> candidates;
@@ -171,8 +175,8 @@ struct ShardedFleetOptions {
   /// Per-shard simulation contract (QoS floor, server capacity,
   /// candidate cap).
   DynamicOptions dynamic;
-  /// Shards == dedicated workers. 1 reproduces SimulateDynamicFleet's
-  /// placements bit-identically (pinned by a pipeline test).
+  /// Shards == dedicated workers. 1 is exactly SimulateDynamicFleet, whose
+  /// placements a golden test pins.
   std::size_t num_shards = 1;
   /// Tick-barrier cadence in sim minutes: all shards synchronize at every
   /// window boundary, where exactly one thread runs the fleet-wide health
@@ -180,9 +184,6 @@ struct ShardedFleetOptions {
   double tick_window_min = 5.0;
   /// Seeds the per-shard RNG streams (candidate subsampling).
   std::uint64_t seed = 0;
-  /// Record every decision latency (per shard, merged into the result's
-  /// p50/p99). Costs one double per arrival.
-  bool collect_decision_latencies = true;
 };
 
 struct ShardedFleetResult {
@@ -196,7 +197,8 @@ struct ShardedFleetResult {
   /// Fleet-wide concurrent sessions, sampled at every tick barrier while
   /// all shards are quiescent (exact at barrier instants).
   std::size_t peak_concurrent_sessions = 0;
-  /// Merged decision-latency quantiles (0 when collection is off).
+  /// Merged decision-latency quantiles (every arrival's latency is kept,
+  /// one double each).
   double decision_latency_p50_us = 0.0;
   double decision_latency_p99_us = 0.0;
   /// Tick barriers crossed.
@@ -213,7 +215,7 @@ using ShardPolicyFactory = std::function<PlacementPolicy(std::size_t shard)>;
 /// shard simulates its sub-fleet on a dedicated pool worker (pinned via
 /// ThreadPool::SubmitNamed), and shards synchronize at tick-window
 /// barriers. Event-log decision counts, monitor totals, and `sched.*`
-/// metrics aggregate exactly across shards; sharded-run events carry a
+/// metrics aggregate exactly across shards; every event carries a
 /// "shard" field.
 ShardedFleetResult SimulateShardedFleet(
     const core::ColocationLab& lab, std::span<const DynamicRequest> requests,

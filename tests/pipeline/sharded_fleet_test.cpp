@@ -1,7 +1,6 @@
 // Sharded fleet service on the full predictor stack: replica semantics,
-// the single-shard bit-identity pin against the legacy simulator (the
-// sharding acceptance contract), and the shared striped cache warming
-// every shard's replica.
+// direct and replicated provenance policies placing identically, and the
+// shared striped cache warming every shard's replica.
 
 #include "sched/dynamic.h"
 
@@ -83,10 +82,10 @@ TEST(ShardedFleetPipelineTest, ReplicaRequiresATrainedParent) {
   EXPECT_THROW((void)untrained.MakeReplica(), std::logic_error);
 }
 
-TEST(ShardedFleetPipelineTest, SingleShardReproducesLegacyPlacements) {
-  // The sharding acceptance pin: one shard driven through the sharded
-  // service must place every request on exactly the server the legacy
-  // single-threaded simulator picks.
+TEST(ShardedFleetPipelineTest, DirectAndReplicaPoliciesPlaceIdentically) {
+  // A shard's predictor replica (shared models, shared cache) must judge
+  // exactly like the predictor it was cut from: the direct provenance
+  // policy and the replicated factory place every request identically.
   const auto& world = TestWorld::Get();
   const core::GAugurPredictor predictor = TrainedPredictor(world);
 
@@ -94,7 +93,7 @@ TEST(ShardedFleetPipelineTest, SingleShardReproducesLegacyPlacements) {
   const auto trace =
       GenerateDynamicTrace(setup.game_ids, 150.0, 0.5, 25.0, 23);
 
-  const auto legacy = SimulateDynamicFleet(
+  const auto direct = SimulateDynamicFleet(
       world.lab(), trace, MakeProvenancePolicy(predictor, 60.0));
 
   ShardedFleetOptions options;
@@ -103,11 +102,11 @@ TEST(ShardedFleetPipelineTest, SingleShardReproducesLegacyPlacements) {
       world.lab(), trace, MakeReplicatedProvenanceFactory(predictor, 60.0),
       options);
 
-  ASSERT_EQ(legacy.placements.size(), trace.size());
-  EXPECT_EQ(legacy.placements, sharded.total.placements);
-  EXPECT_EQ(legacy.violated_sessions, sharded.total.violated_sessions);
-  EXPECT_EQ(legacy.peak_servers, sharded.total.peak_servers);
-  EXPECT_DOUBLE_EQ(legacy.server_minutes, sharded.total.server_minutes);
+  ASSERT_EQ(direct.placements.size(), trace.size());
+  EXPECT_EQ(direct.placements, sharded.total.placements);
+  EXPECT_EQ(direct.violated_sessions, sharded.total.violated_sessions);
+  EXPECT_EQ(direct.peak_servers, sharded.total.peak_servers);
+  EXPECT_DOUBLE_EQ(direct.server_minutes, sharded.total.server_minutes);
 }
 
 TEST(ShardedFleetPipelineTest, MultiShardRunSharesOneCacheAcrossReplicas) {

@@ -1,9 +1,9 @@
 // Sharded fleet service tests on a cheap world (default catalog + server
-// sim, no profiling pass): single-shard runs must reproduce the legacy
-// simulator's placements exactly, multi-shard runs must reconcile event
-// counts / monitor totals / sched.* metrics across shards, per-shard
-// event streams must stay tick-monotonic, and the candidate cap must
-// bound what policies see without breaking admission.
+// sim, no profiling pass): single-shard runs must reproduce golden
+// placements exactly and tick health once per window, multi-shard runs
+// must reconcile event counts / monitor totals / sched.* metrics across
+// shards, per-shard event streams must stay tick-monotonic, and the
+// candidate cap must bound what policies see without breaking admission.
 //
 // This suite is its own binary (tests_sched) so the TSan CI job can build
 // and run just it: the multi-shard tests genuinely race shard workers
@@ -15,6 +15,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <stdexcept>
 #include <map>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "gamesim/server_sim.h"
 #include "gaugur/lab.h"
 #include "obs/event_log.h"
+#include "obs/health.h"
 #include "obs/latency_profiler.h"
 #include "obs/metrics.h"
 #include "obs/switch.h"
@@ -53,23 +56,102 @@ PlacementPolicy AlwaysColocate() {
   return MakeFirstFeasiblePolicy([](const Colocation&) { return true; });
 }
 
-TEST(ShardedFleet, SingleShardMatchesLegacySimulatorBitIdentically) {
+/// FNV-1a over the placement vector: a compact fingerprint for a golden
+/// pin.
+std::uint64_t PlacementHash(const std::vector<long long>& placements) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (long long p : placements) {
+    h ^= static_cast<std::uint64_t>(p);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(ShardedFleet, SingleShardReproducesGoldenPlacements) {
+  // Golden values recorded from the single-threaded simulator that the
+  // one-shard engine replaced: retiring it must not move one placement,
+  // violation, power-on, or billed server-minute.
   const auto trace = Trace(250, 21);
-  const auto legacy =
+  const DynamicResult result =
+      SimulateDynamicFleet(Lab(), trace, AlwaysColocate());
+  ASSERT_EQ(result.placements.size(), 250u);
+  EXPECT_EQ(PlacementHash(result.placements), 0x2e3284a947053d16ULL);
+  EXPECT_EQ(result.sessions, 250u);
+  EXPECT_EQ(result.peak_servers, 8u);
+  EXPECT_EQ(result.powerons, 17u);
+  EXPECT_EQ(result.violated_sessions, 72u);
+  EXPECT_EQ(result.server_minutes, 2006.3657732525287);
+}
+
+TEST(ShardedFleet, DynamicFleetTicksPerWindowAndTagsShardZero) {
+  // SimulateDynamicFleet is the one-shard engine: health and the sink
+  // tick once per 5-minute window plus one final pass, every event is
+  // tagged shard 0, and the per-shard metrics move.
+  obs::EnabledScope on(true);
+  obs::EventLog::Global().Clear();
+  obs::HealthEngine& engine = obs::HealthEngine::Global();
+  engine.Reset();
+  struct EngineGuard {
+    ~EngineGuard() { obs::HealthEngine::Global().Reset(); }
+  } guard;
+  obs::AlertRule rule;  // never true: counts passes, emits nothing
+  rule.name = "never";
+  rule.signal.kind = obs::SignalKind::kGauge;
+  rule.signal.name = "sched.shards";
+  rule.threshold = 1e9;
+  engine.AddRule(rule);
+  obs::Counter& shard0 =
+      obs::Registry::Global().GetCounter("sched.shard.0.placements");
+  const std::uint64_t shard0_before = shard0.Value();
+
+  const auto trace = Trace(120, 47);
+  const DynamicResult result =
       SimulateDynamicFleet(Lab(), trace, AlwaysColocate());
 
-  ShardedFleetOptions options;
-  options.num_shards = 1;
-  const auto sharded = SimulateShardedFleet(
-      Lab(), trace, [](std::size_t) { return AlwaysColocate(); }, options);
+  double last_arrival = 0.0;
+  for (const DynamicRequest& r : trace) {
+    last_arrival = std::max(last_arrival, r.arrival_min);
+  }
+  const double window_min = ShardedFleetOptions{}.tick_window_min;
+  const auto windows =
+      static_cast<std::uint64_t>(std::floor(last_arrival / window_min)) + 1;
+  EXPECT_EQ(engine.Summary().evaluations, windows + 1);
+  EXPECT_EQ(shard0.Value() - shard0_before, result.sessions);
 
-  ASSERT_EQ(legacy.placements.size(), sharded.total.placements.size());
-  EXPECT_EQ(legacy.placements, sharded.total.placements);
-  EXPECT_EQ(legacy.sessions, sharded.total.sessions);
-  EXPECT_EQ(legacy.peak_servers, sharded.total.peak_servers);
-  EXPECT_EQ(legacy.powerons, sharded.total.powerons);
-  EXPECT_EQ(legacy.violated_sessions, sharded.total.violated_sessions);
-  EXPECT_DOUBLE_EQ(legacy.server_minutes, sharded.total.server_minutes);
+  std::map<obs::EventKind, std::size_t> tagged;
+  for (const obs::Event& event : obs::EventLog::Global().Snapshot()) {
+    const auto shard_field = event.fields.find("shard");
+    ASSERT_NE(shard_field, event.fields.end())
+        << obs::EventKindName(event.kind) << " event has no shard tag";
+    EXPECT_EQ(shard_field->second.AsNumber(), 0.0);
+    ++tagged[event.kind];
+  }
+  EXPECT_EQ(tagged[obs::EventKind::kArrival], trace.size());
+  EXPECT_EQ(tagged[obs::EventKind::kDecision], trace.size());
+  EXPECT_EQ(tagged[obs::EventKind::kDeparture], trace.size());
+  EXPECT_EQ(tagged[obs::EventKind::kPowerOn], result.powerons);
+  EXPECT_EQ(tagged[obs::EventKind::kPowerOff], result.powerons);
+  obs::EventLog::Global().Clear();
+}
+
+TEST(ShardedFleet, DynamicFleetRethrowsPolicyExceptions) {
+  // The policy runs on the shard worker; its exception must still reach
+  // the caller, and the backlog gauge must not keep the unadmitted rest.
+  obs::EnabledScope on(true);
+  obs::Gauge& backlog = obs::Registry::Global().GetGauge("sched.shard_backlog");
+  const std::int64_t backlog_before = backlog.Value();
+  int calls = 0;
+  const PlacementPolicy throws_on_tenth =
+      [&calls](std::span<const Colocation>, const core::SessionRequest&) {
+        if (++calls == 10) throw std::runtime_error("policy failed");
+        return -1;
+      };
+  EXPECT_THROW(
+      (void)SimulateDynamicFleet(Lab(), Trace(40, 5), throws_on_tenth),
+      std::runtime_error);
+  EXPECT_EQ(calls, 10);
+  EXPECT_EQ(backlog.Value(), backlog_before);
+  obs::EventLog::Global().Clear();
 }
 
 TEST(ShardedFleet, EveryRequestIsPlacedOnItsOwnShard) {
